@@ -33,12 +33,12 @@ from __future__ import annotations
 import http.client
 import json
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.serve import netfaults
 from repro.sim.config import env_float, env_int
+from repro.sim.supervisor import backoff_jitter
 
 
 class ServeClientError(RuntimeError):
@@ -88,9 +88,8 @@ class RetryPolicy:
 
     def delay_s(self, attempt: int, token: str = "") -> float:
         """Backoff before retry *attempt* (0-based), with jitter."""
-        jitter = zlib.crc32(f"{token}:{attempt}".encode()) % 1024 / 1024
         base = min(self.backoff_s * (2 ** attempt), self.max_backoff_s)
-        return base * (1.0 + jitter)
+        return base * (1.0 + backoff_jitter(token, attempt))
 
 
 class CircuitBreaker:

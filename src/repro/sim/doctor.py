@@ -474,16 +474,12 @@ def diagnose(repair: bool = False,
     begin = time.perf_counter()
     report = DoctorReport(cache_dir=str(disk_cache.cache_dir()),
                           repair=repair)
-    saved_plan = iofaults._PLAN
-    iofaults._PLAN = None
-    try:
+    with iofaults.PLANE.suspended():
         _scan_cache(report, repair, tmp_age_s)
         _scan_snapshots(report, repair, tmp_age_s)
         _scan_store(report, repair)
         _scan_leases(report, repair, lease_ttl_s)
         _scan_members(report, repair, tmp_age_s)
-    finally:
-        iofaults._PLAN = saved_plan
     report.quarantine["cache"] = disk_cache.count_quarantine(
         disk_cache.quarantine_dir())
     report.quarantine["snapshot"] = disk_cache.count_quarantine(

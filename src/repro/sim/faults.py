@@ -4,26 +4,16 @@ The supervision layer (``repro.sim.supervisor``) is only trustworthy if
 its failure paths are exercised; this module makes failures first-class,
 reproducible inputs.  A fault *spec* — from the ``REPRO_FAULTS``
 environment variable or passed programmatically — describes which runs
-of a batch fail and how:
-
-    spec    := clause (";" clause)*
-    clause  := kind target (":" key "=" value)*
-    target  := "@" idx ("+" idx)*          explicit 0-based run indices
-             | "~" count "/" seed          seeded random sample of runs
-    kind    := "crash" | "hang" | "error" | "truncate" | "corrupt" | "kill"
-
-Examples::
-
-    REPRO_FAULTS="crash@4;hang@9:secs=30"      # the acceptance scenario
-    REPRO_FAULTS="error@0:first=1"             # fail attempt 0, then heal
-    REPRO_FAULTS="crash~3/42"                  # 3 seeded-random crashes
-    REPRO_FAULTS="kill@0:at=1500:first=1"      # die mid-trace once, resume
+of a batch fail and how, in the grammar of ``repro.sim.faultplan``.
+Every clause needs a run target (``@idx`` or ``~count/seed``); the
+kinds are ``crash``, ``hang``, ``error``, ``truncate``, ``corrupt`` and
+``kill``.
 
 Parameters: ``secs=<float>`` (hang duration, default 30),
 ``first=<int>`` (fire only on the first N attempts; 0 = every attempt,
 so ``first=1`` models a transient that a retry cures), and
-``at=<int>`` (``kill`` only: the access index after which the run dies —
-the snapshot/resume acceptance scenario).
+``at=<int>`` (``kill`` only, and required there: the access index after
+which the run dies — the snapshot/resume acceptance scenario).
 
 Indices refer to positions in the batch's *scheduled* run list (after
 dedupe and cache hits), which is what makes a schedule deterministic: a
@@ -49,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.sim import faultplan
 from repro.workloads.io import TraceFormatError
 
 ENV_VAR = "REPRO_FAULTS"
@@ -56,7 +47,7 @@ ENV_VAR = "REPRO_FAULTS"
 KINDS = ("crash", "hang", "error", "truncate", "corrupt", "kill")
 
 
-class FaultSpecError(ValueError):
+class FaultSpecError(faultplan.SpecError):
     """A ``REPRO_FAULTS`` spec failed to parse."""
 
 
@@ -101,87 +92,24 @@ class FaultClause:
             random.Random(self.seed).sample(range(n_runs), count)))
 
 
-def _parse_params(clause: str, raw: List[str]) -> Dict[str, float]:
-    params: Dict[str, float] = {}
-    for item in raw:
-        key, sep, value = item.partition("=")
-        if not sep or not value:
-            raise FaultSpecError(
-                f"fault clause {clause!r}: malformed parameter {item!r}")
-        if key == "secs":
-            params["secs"] = float(value)
-        elif key == "first":
-            params["first"] = int(value)
-        elif key == "at":
-            params["at"] = int(value)
-        else:
-            raise FaultSpecError(
-                f"fault clause {clause!r}: unknown parameter {key!r} "
-                "(expected secs=, first= or at=)")
-    return params
-
-
-def _parse_clause(clause: str) -> FaultClause:
-    head, *raw_params = clause.split(":")
-    try:
-        params = _parse_params(clause, raw_params)
-    except ValueError as exc:
-        if isinstance(exc, FaultSpecError):
-            raise
-        raise FaultSpecError(
-            f"fault clause {clause!r}: bad parameter value ({exc})") from exc
-
-    explicit = "@" in head
-    seeded = "~" in head
-    if explicit == seeded:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: expected kind@idx[+idx...] or "
-            "kind~count/seed")
-    sep = "@" if explicit else "~"
-    kind, _, target = head.partition(sep)
-    if kind not in KINDS:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: unknown kind {kind!r} "
-            f"(expected one of {', '.join(KINDS)})")
-    action = FaultAction(kind=kind, **params)
-    if kind == "kill" and action.at < 0:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: kill requires at=<access index>")
-
-    if explicit:
-        try:
-            indices = tuple(int(part) for part in target.split("+"))
-        except ValueError as exc:
-            raise FaultSpecError(
-                f"fault clause {clause!r}: bad run index in "
-                f"{target!r}") from exc
-        if any(i < 0 for i in indices):
-            raise FaultSpecError(
-                f"fault clause {clause!r}: negative run index")
-        return FaultClause(action=action, indices=indices)
-
-    count_str, sep, seed_str = target.partition("/")
-    if not sep or not count_str or not seed_str:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: seeded target must be "
-            "count/seed")
-    try:
-        count, seed = int(count_str), int(seed_str)
-    except ValueError as exc:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: bad count/seed {target!r}") from exc
-    if count < 0:
-        raise FaultSpecError(f"fault clause {clause!r}: negative count")
-    return FaultClause(action=action, count=count, seed=seed)
+#: The engine plane's grammar: every clause needs a run target, and
+#: ``first=`` and ``at=`` are engine-only.
+GRAMMAR = faultplan.Grammar(
+    ENV_VAR, KINDS,
+    {"secs": ("secs", faultplan.seconds),
+     "first": ("first", faultplan.non_negative_int),
+     "at": ("at", int)},
+    FaultSpecError, target_required=True)
 
 
 def parse(spec: str) -> List[FaultClause]:
     """Parse a fault spec string into clauses (raises FaultSpecError)."""
     clauses = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if part:
-            clauses.append(_parse_clause(part))
+    for clause, kind, target, params in GRAMMAR.parse(spec):
+        action = FaultAction(kind=kind, **params)
+        if kind == "kill" and action.at < 0:
+            raise GRAMMAR.fail(clause, "kill requires at=<access index>")
+        clauses.append(FaultClause(action=action, **target))
     return clauses
 
 
@@ -215,9 +143,7 @@ def resolve(spec: str, n_runs: int) -> FaultPlan:
 def plan_from_env(n_runs: int) -> Optional[FaultPlan]:
     """The plan armed via ``REPRO_FAULTS``, or None when unset/empty."""
     spec = os.environ.get(ENV_VAR, "").strip()
-    if not spec:
-        return None
-    return resolve(spec, n_runs)
+    return resolve(spec, n_runs) if spec else None
 
 
 # ----------------------------------------------------------------------

@@ -84,8 +84,13 @@ def backoff_delay(run_index: int, attempt: int,
     """Exponential backoff with deterministic per-(run, attempt) jitter."""
     if base is None:
         base = config.env_float("REPRO_RETRY_BACKOFF", DEFAULT_BACKOFF_S)
-    jitter = zlib.crc32(f"{run_index}:{attempt}".encode()) % 1024 / 1024
-    return base * (2 ** attempt) * (1.0 + jitter)
+    return base * (2 ** attempt) * (1.0 + backoff_jitter(run_index, attempt))
+
+
+def backoff_jitter(token: object, attempt: int) -> float:
+    """Deterministic jitter in [0, 1) for retry *attempt* of *token*
+    (shared by the engine's and the serve client's backoff)."""
+    return zlib.crc32(f"{token}:{attempt}".encode()) % 1024 / 1024
 
 
 # ----------------------------------------------------------------------

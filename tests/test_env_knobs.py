@@ -11,7 +11,8 @@ from repro.serve import app as serve_app
 from repro.serve import client as serve_client
 from repro.serve import cluster as serve_cluster
 from repro.serve import netfaults
-from repro.sim import iofaults, runner, snapshot, supervisor
+from repro.cli import main as cli_main
+from repro.sim import faults, iofaults, runner, snapshot, supervisor
 from repro.sim.config import ConfigurationError, env_float, env_int, env_str
 
 
@@ -224,6 +225,57 @@ class TestServeKnobs:
         assert serve_app.serve_port() == 0
         assert serve_app.queue_max() == 8
         assert serve_app.client_quota() == 0
+
+
+class TestEngineFaultKnobs:
+    """``REPRO_FAULTS`` shares the grammar and error taxonomy of the IO
+    and net planes: garbage is a named ConfigurationError (exit 2 from
+    the CLI), never a run failure or a traceback."""
+
+    @pytest.mark.parametrize("spec", [
+        "frobnicate",                 # unknown kind, no target
+        "crash@x",                    # non-integer index
+        "error~2",                    # seeded target missing /seed
+        "hang@0:sight=1",             # unknown parameter
+        "hang@0:secs=-1",             # negative hang
+        "error@0:first=-1",           # negative first=
+        "kill@0",                     # kill without at=
+    ])
+    def test_garbage_spec_is_configuration_error(self, monkeypatch, spec):
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        with pytest.raises(ConfigurationError) as excinfo:
+            faults.plan_from_env(4)
+        assert "REPRO_FAULTS" in str(excinfo.value)
+
+    def test_unset_and_blank_mean_disabled(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        assert faults.plan_from_env(4) is None
+        monkeypatch.setenv("REPRO_FAULTS", "   ")
+        assert faults.plan_from_env(4) is None
+
+    def test_valid_spec_parses(self, monkeypatch):
+        spec = "crash@0+2;hang~1/7:secs=0.5"
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        crash, hang = faults.parse(spec)
+        assert crash.indices == (0, 2)
+        assert hang.count == 1 and hang.seed == 7
+        assert hang.action.secs == 0.5
+        assert faults.plan_from_env(4).for_run(2)[0].kind == "crash"
+
+    def test_spec_error_is_not_a_simulation_failure(self):
+        assert issubclass(faults.FaultSpecError, ConfigurationError)
+        assert not issubclass(faults.FaultSpecError, ValueError)
+        assert faults.FaultSpecError not in supervisor.PERMANENT_EXCEPTIONS
+
+    def test_cli_reports_garbage_and_exits_2(self, monkeypatch, tmp_path,
+                                             capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_FAULTS", "frobnicate")
+        code = cli_main(["run", "--workload", "mcf", "--accesses", "200",
+                         "--baseline", "", "--no-cache"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_FAULTS clause 'frobnicate'")
 
 
 class TestStorageFaultKnobs:

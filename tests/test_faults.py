@@ -65,6 +65,10 @@ class TestSpecParsing:
         "error~/5",           # missing count
         "crash@-2",           # negative index
         "hang@1:secs",        # parameter without value
+        "hang@0:secs=-1",     # negative hang
+        "hang@0:secs=nan",    # NaN hang
+        "hang@0:secs=inf",    # infinite hang
+        "error@0:first=-1",   # negative first= would never fire
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(FaultSpecError):

@@ -69,6 +69,9 @@ class TestGrammar:
         "slow:secs=fast",            # non-float secs
         "eio:site=",                 # empty value
         "torn~2/7:of=0",             # window must be positive
+        "slow:secs=-1",              # negative stall
+        "slow:secs=nan",             # NaN stall
+        "slow:secs=inf",             # infinite stall
     ])
     def test_malformed_specs_raise(self, spec):
         with pytest.raises(iofaults.IOFaultSpecError):
@@ -372,4 +375,4 @@ class TestDisarmedFastPath:
     def test_counters_not_tracked_when_disarmed(self):
         iofaults.reset_counters()
         cache.store(KEY, sample_metrics())
-        assert iofaults._COUNTERS == {}
+        assert iofaults.PLANE.counters == {}

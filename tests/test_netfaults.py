@@ -75,7 +75,8 @@ class TestGrammar:
     @pytest.mark.parametrize("spec", [
         "bogus", "refuse@x", "reset~3", "reset~/7", "drop@-1",
         "reset~-1/7", "refuse@1~2/3", "delay:secs=abc", "garble:of=0",
-        "refuse:wat=1", "refuse:site=",
+        "refuse:wat=1", "refuse:site=", "delay:secs=-1",
+        "delay:secs=nan", "delay:secs=inf",
     ])
     def test_rejects_garbage_as_configuration_error(self, spec):
         with pytest.raises(ConfigurationError):

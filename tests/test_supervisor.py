@@ -59,6 +59,20 @@ class TestBackoff:
         delays = {backoff_delay(i, 0, base=0.1) for i in range(16)}
         assert len(delays) > 1
 
+    def test_schedules_are_pinned(self):
+        # Both backoffs share one crc32 jitter; these exact values pin
+        # the engine and serve-client retry schedules bit for bit.
+        from repro.serve.client import RetryPolicy
+
+        assert backoff_delay(0, 0, base=0.1) == 0.15849609375
+        assert backoff_delay(3, 1, base=0.1) == 0.22968750000000002
+        assert backoff_delay(7, 2, base=0.5) == 2.99609375
+        policy = RetryPolicy(retries=4, backoff_s=0.1, max_backoff_s=5.0)
+        assert policy.delay_s(0) == 0.10410156250000001
+        assert policy.delay_s(2, "x") == 0.701171875
+        assert policy.delay_s(6, "429") == 5.693359375
+        assert policy.delay_s(10, "t") == 9.4482421875
+
     def test_env_helpers(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
         assert max_retries() == 5
