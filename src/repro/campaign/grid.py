@@ -23,28 +23,21 @@ grid can be declared once from the CLI and then driven by any number of
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.sim import cache as disk_cache
-from repro.sim.config import SystemConfig
-from repro.sim.runner import RunRequest
+from repro.sim.config import SystemConfig, config_with, resolve_config_path
+from repro.sim.runner import PARAM_FIELDS, RequestError, RunRequest
 
 
 class CampaignSpecError(ValueError):
     """A campaign declaration is malformed (bad axis, value, or exclude)."""
 
-
-#: RunRequest fields an axis may target directly (config/dueling are
-#: reached through SystemConfig attribute paths instead).
-REQUEST_AXES = ("workload", "prefetcher", "variant", "l1d",
-                "oracle_page_size", "n_accesses", "table_scale",
-                "gb_fraction")
 
 #: JSON-safe scalar types an axis value may take.
 _SCALARS = (str, int, float, bool)
@@ -70,54 +63,12 @@ def _check_scalar(axis: str, value) -> None:
             f"(str/int/float/bool)")
 
 
-def _resolve_config_attr(config: SystemConfig, path: str):
-    """Walk a dotted SystemConfig attribute path to (owner, leaf name)."""
-    parts = path.split(".")
-    obj = config
-    for part in parts[:-1]:
-        if not hasattr(obj, part):
-            raise CampaignSpecError(
-                f"unknown configuration path {path!r} "
-                f"(no attribute {part!r} on {type(obj).__name__})")
-        obj = getattr(obj, part)
-    leaf = parts[-1]
-    if not dataclasses.is_dataclass(obj) or not hasattr(obj, leaf):
-        raise CampaignSpecError(
-            f"unknown configuration path {path!r} "
-            f"(no field {leaf!r} on {type(obj).__name__})")
-    return obj, leaf
-
-
-def _apply_override(config: SystemConfig, path: str, value) -> None:
-    """Set one dotted-path override, enforcing type compatibility."""
-    obj, leaf = _resolve_config_attr(config, path)
-    current = getattr(obj, leaf)
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise CampaignSpecError(
-                f"configuration path {path!r} expects a bool, "
-                f"got {value!r}")
-    elif isinstance(current, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CampaignSpecError(
-                f"configuration path {path!r} expects an int, "
-                f"got {value!r}")
-    elif isinstance(current, float):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CampaignSpecError(
-                f"configuration path {path!r} expects a number, "
-                f"got {value!r}")
-    elif isinstance(current, str):
-        if not isinstance(value, str):
-            raise CampaignSpecError(
-                f"configuration path {path!r} expects a string, "
-                f"got {value!r}")
-    else:
-        raise CampaignSpecError(
-            f"configuration path {path!r} targets a non-scalar field "
-            f"({type(current).__name__}); address its scalar leaves "
-            f"instead")
-    setattr(obj, leaf, value)
+def _check_path(name: str) -> None:
+    if name not in PARAM_FIELDS:
+        try:
+            resolve_config_path(SystemConfig(), name)
+        except RequestError as exc:
+            raise CampaignSpecError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -162,7 +113,6 @@ class Campaign:
         if not self.axes:
             raise CampaignSpecError(
                 f"campaign {self.name!r} declares no axes")
-        probe = SystemConfig()
         for axis, values in self.axes.items():
             values = list(values)
             if not values:
@@ -173,15 +123,13 @@ class Campaign:
                     f"axis {axis!r} repeats a value")
             for value in values:
                 _check_scalar(axis, value)
-            if axis not in REQUEST_AXES:
-                _resolve_config_attr(probe, axis)
+            _check_path(axis)
         for name, value in self.fixed.items():
             if name in self.axes:
                 raise CampaignSpecError(
                     f"{name!r} is both an axis and a fixed value")
             _check_scalar(name, value)
-            if name not in REQUEST_AXES:
-                _resolve_config_attr(probe, name)
+            _check_path(name)
         known = set(self.axes) | set(self.fixed)
         for exclude in self.excludes:
             if not exclude:
@@ -252,25 +200,16 @@ class Campaign:
                 yield params
 
     def request_for(self, params: Mapping[str, object]) -> RunRequest:
-        """Build the engine request for one cell's parameter point."""
-        req_kwargs: Dict[str, object] = {}
-        overrides: List[Tuple[str, object]] = []
-        for name, value in params.items():
-            if name in REQUEST_AXES:
-                req_kwargs[name] = value
-            else:
-                overrides.append((name, value))
-        config = SystemConfig()
-        for path, value in overrides:
-            _apply_override(config, path, value)
-        if overrides:
-            try:
-                config.validate()
-            except ValueError as exc:
-                raise CampaignSpecError(
-                    f"cell {params!r}: invalid configuration "
-                    f"({exc})") from exc
-        return RunRequest(config=config, **req_kwargs)
+        """Build the resolved engine request for one cell's parameter
+        point; an invalid one raises :class:`CampaignSpecError`."""
+        fields = {k: v for k, v in params.items() if k in PARAM_FIELDS}
+        overrides = {k: v for k, v in params.items()
+                     if k not in PARAM_FIELDS}
+        try:
+            return RunRequest(config=config_with(overrides),
+                              **fields).resolved()
+        except RequestError as exc:
+            raise CampaignSpecError(f"cell {dict(params)!r}: {exc}") from exc
 
     def cells(self) -> List[CampaignCell]:
         """Deterministic expansion of the grid into resolved cells.

@@ -176,11 +176,6 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     config = _config_from(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for variant in variants:
-        if variant not in VARIANTS:
-            print(f"error: unknown variant {variant!r} "
-                  f"(choose from {VARIANTS})", file=sys.stderr)
-            return 2
     metrics_list, code = _supervised_batch(
         args, [_request_for(args, config, variant) for variant in variants])
     results = {v: m for v, m in zip(variants, metrics_list)
@@ -314,8 +309,9 @@ def cmd_campaign_new(args) -> int:
                 for text in args.exclude or []]
     campaign = Campaign(name=args.name, axes=axes, fixed=fixed,
                         excludes=excludes)
+    description = campaign.describe()   # expands, so validates, every cell
     campaign.save(args.spec)
-    print(campaign.describe())
+    print(description)
     print(f"spec written to {args.spec}")
     return 0
 
@@ -557,12 +553,11 @@ def cmd_config(_args) -> int:
 
 def cmd_trace(args) -> int:
     if args.workload and args.out:
-        spec = catalog(include_non_intensive=True).get(args.workload)
-        if spec is None:
-            print(f"error: unknown workload {args.workload!r}",
-                  file=sys.stderr)
-            return 2
-        trace = spec.generate(args.accesses or SCALE_ACCESSES["small"])
+        request = RunRequest(
+            args.workload,
+            n_accesses=args.accesses or SCALE_ACCESSES["small"]).resolved()
+        spec = catalog(include_non_intensive=True)[request.workload]
+        trace = spec.generate(request.n_accesses)
         save_trace(trace, args.out)
         print(f"wrote {len(trace)} records to {args.out}")
         return 0

@@ -94,12 +94,8 @@ class Core:
         if hasattr(self.hierarchy, "reset_stats"):
             self.hierarchy.reset_stats()
 
-    def step(self, record: Record, pre=None) -> float:
-        """Execute one trace record; return the access's completion cycle.
-
-        ``pre`` optionally carries the precomputed ``(paddr, page_size)``
-        of the record's address (columnar kernel chunk preparation).
-        """
+    def step(self, record: Record) -> float:
+        """Execute one trace record; return the access's completion cycle."""
         ip, vaddr, kind, bubble, dep = record
         entries = bubble + 1
         # Reclaim ROB space via in-order retirement.
@@ -116,16 +112,10 @@ class Core:
         if dep and self.last_load_complete > issue_at:
             issue_at = self.last_load_complete
         if kind == KIND_LOAD:
-            if pre is None:
-                complete = self.hierarchy.load(vaddr, ip, issue_at)
-            else:
-                complete = self.hierarchy.load(vaddr, ip, issue_at, pre)
+            complete = self.hierarchy.load(vaddr, ip, issue_at)
             self.last_load_complete = complete
         else:
-            if pre is None:
-                self.hierarchy.store(vaddr, ip, issue_at)
-            else:
-                self.hierarchy.store(vaddr, ip, issue_at, pre)
+            self.hierarchy.store(vaddr, ip, issue_at)
             complete = issue_at + 1.0
         self.inflight.append((complete, entries))
         self.occupancy += entries

@@ -105,37 +105,25 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Demand path
     # ------------------------------------------------------------------
-    def load(self, vaddr: int, ip: int, now: float, pre=None) -> float:
-        """Demand load; returns the cycle the data is available.
-
-        ``pre`` is an optional precomputed ``(paddr, page_size)`` pair
-        from the columnar kernel's chunk preparation; it must equal what
-        ``allocator.translate(vaddr)`` would return.
-        """
+    def load(self, vaddr: int, ip: int, now: float) -> float:
+        """Demand load; returns the cycle the data is available."""
         self.loads += 1
-        ready = self._access(vaddr, ip, now, is_write=False, pre=pre)
+        ready = self._access(vaddr, ip, now, is_write=False)
         self.load_latency_sum += ready - now
         return ready
 
-    def store(self, vaddr: int, ip: int, now: float, pre=None) -> float:
+    def store(self, vaddr: int, ip: int, now: float) -> float:
         """Demand store (write-allocate, posted; caller may ignore timing)."""
         self.stores += 1
-        return self._access(vaddr, ip, now, is_write=True, pre=pre)
+        return self._access(vaddr, ip, now, is_write=True)
 
-    def _access(self, vaddr: int, ip: int, now: float, is_write: bool,
-                pre=None) -> float:
+    def _access(self, vaddr: int, ip: int, now: float,
+                is_write: bool) -> float:
         obs = self.observer
         if obs is not None:
             obs.on_access_begin(vaddr, is_write)
-        if pre is None:
-            paddr, translate_latency, page_size = self.translator.translate(
-                vaddr, now, self._walk_access)
-        else:
-            # Chunk-prepared translation: the allocator already mapped
-            # this page (prepare_chunk), so only TLB/walk timing runs.
-            paddr, page_size = pre
-            translate_latency = self.translator.translate_cached(
-                vaddr, page_size, now, self._walk_access)
+        paddr, translate_latency, page_size = self.translator.translate(
+            vaddr, now, self._walk_access)
         if obs is not None:
             obs.on_translate(vaddr, paddr, page_size)
         t = now + translate_latency

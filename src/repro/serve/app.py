@@ -396,8 +396,7 @@ class ServeApp:
         try:
             request = protocol.parse_run_request(data)
         except protocol.ProtocolError as exc:
-            return exc.status, {"error": "bad_request",
-                                "detail": str(exc)}, {}
+            return 400, {"error": "bad_request", "detail": str(exc)}, {}
         self.queue.counters["submitted"] += 1
         key = request.key()
         digest = disk_cache.key_digest(key)

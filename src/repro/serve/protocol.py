@@ -1,145 +1,63 @@
 """Wire protocol of the serving layer: JSON bodies -> validated requests.
 
 The daemon accepts the same parameter surface the campaign grid does: a
-flat JSON object with :data:`~repro.campaign.grid.REQUEST_AXES` fields
+flat JSON object with :data:`~repro.sim.runner.PARAM_FIELDS` fields
 (``workload``, ``prefetcher``, ``variant``, ...) plus an optional
 ``config`` mapping of dotted :class:`~repro.sim.config.SystemConfig`
 paths (``llc.size_bytes``, ``dram.transfer_rate_mts``) to scalar
 overrides — so a campaign cell's ``params`` dict round-trips through
 ``/submit`` unchanged.
 
-Validation happens entirely at admission, before anything reaches the
-engine: an unknown workload/prefetcher/variant, a malformed override
-path, or an out-of-range scalar raises :class:`ProtocolError` (HTTP
-400), never a permanent in-worker failure that would burn an engine
-slot on a request that could not possibly succeed.
+This module checks only the JSON shape.  Every value is checked by
+:meth:`~repro.sim.runner.RunRequest.validate` at admission, before
+anything reaches the engine: an impossible request raises
+:class:`ProtocolError` (HTTP 400), never a permanent in-worker failure
+that would burn an engine slot on a request that could not succeed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.campaign.grid import CampaignSpecError, _apply_override
-from repro.core.factory import PREFETCHERS, VARIANTS
-from repro.sim.config import SystemConfig
-from repro.sim.runner import RunRequest
-from repro.sim.simulator import L1D_PREFETCHERS
+from repro.sim.config import config_with
+from repro.sim.runner import PARAM_FIELDS, RequestError, RunRequest
 
 
 class ProtocolError(ValueError):
-    """A submission body is malformed; maps to an HTTP 4xx response."""
-
-    def __init__(self, message: str, status: int = 400):
-        super().__init__(message)
-        self.status = status
+    """A submission body is malformed; maps to HTTP 400."""
 
 
 #: Fields a submission object may carry (all optional but ``workload``).
-REQUEST_FIELDS = ("workload", "prefetcher", "variant", "l1d",
-                  "oracle_page_size", "n_accesses", "table_scale",
-                  "gb_fraction", "config")
-
-_WORKLOADS: Optional[frozenset] = None
-
-
-def known_workloads() -> frozenset:
-    """Workload names the daemon admits (catalog build memoised)."""
-    global _WORKLOADS
-    if _WORKLOADS is None:
-        from repro.workloads.suites import catalog
-        _WORKLOADS = frozenset(catalog(include_non_intensive=True))
-    return _WORKLOADS
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError(message)
-
-
-def _check_choice(name: str, value, choices) -> None:
-    _require(isinstance(value, str),
-             f"{name!r} must be a string, got {type(value).__name__}")
-    if value not in choices:
-        raise ProtocolError(
-            f"unknown {name} {value!r} (choose from "
-            f"{sorted(choices)})")
-
-
-def _check_number(name: str, value, minimum=None, maximum=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(
-            f"{name!r} must be a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ProtocolError(f"{name!r} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ProtocolError(f"{name!r} must be <= {maximum}, got {value}")
-    return value
+REQUEST_FIELDS = PARAM_FIELDS + ("config",)
 
 
 def parse_run_request(data) -> RunRequest:
-    """Validate one submission object into a :class:`RunRequest`.
+    """Shape-check one submission object into a resolved RunRequest.
 
-    Every field is checked against the same registries the CLI uses
-    (workload catalog, prefetcher/variant/l1d tables, dotted config
-    paths through the campaign grid's override machinery); the returned
-    request is ``resolved()`` so its fingerprint is immediately usable
-    as the job identity.
+    The body must be an object of known fields with a ``workload`` and
+    an object of dotted-path ``config`` overrides; the values are
+    checked by ``RunRequest.resolved()``, so the returned request's
+    fingerprint is immediately usable as the job identity.
     """
-    _require(isinstance(data, dict),
-             f"submission must be a JSON object, got "
-             f"{type(data).__name__}")
+    if not isinstance(data, dict):
+        raise ProtocolError(f"submission must be a JSON object, got "
+                            f"{type(data).__name__}")
     unknown = sorted(set(data) - set(REQUEST_FIELDS))
-    _require(not unknown,
-             f"unknown field(s) {unknown} (expected a subset of "
-             f"{list(REQUEST_FIELDS)})")
-    _require("workload" in data, "submission needs a 'workload' field")
-
-    workload = data["workload"]
-    _check_choice("workload", workload, known_workloads())
-    prefetcher = data.get("prefetcher", "spp")
-    _check_choice("prefetcher", prefetcher, PREFETCHERS)
-    variant = data.get("variant", "psa")
-    _check_choice("variant", variant, VARIANTS)
-    l1d = data.get("l1d", "none")
-    _check_choice("l1d", l1d, L1D_PREFETCHERS)
-
-    oracle = data.get("oracle_page_size", False)
-    _require(isinstance(oracle, bool), "'oracle_page_size' must be a bool")
-
-    n_accesses = data.get("n_accesses")
-    if n_accesses is not None:
-        _require(isinstance(n_accesses, int)
-                 and not isinstance(n_accesses, bool)
-                 and n_accesses >= 1,
-                 f"'n_accesses' must be a positive integer, "
-                 f"got {n_accesses!r}")
-
-    table_scale = _check_number(
-        "table_scale", data.get("table_scale", 1.0), minimum=0.0)
-    _require(table_scale > 0, "'table_scale' must be > 0")
-    gb_fraction = _check_number(
-        "gb_fraction", data.get("gb_fraction", 0.0),
-        minimum=0.0, maximum=1.0)
-
-    config = SystemConfig()
+    if unknown:
+        raise ProtocolError(f"unknown field(s) {unknown} (expected a "
+                            f"subset of {list(REQUEST_FIELDS)})")
+    if "workload" not in data:
+        raise ProtocolError("submission needs a 'workload' field")
     overrides = data.get("config", {})
-    _require(isinstance(overrides, dict),
-             "'config' must be an object of dotted-path overrides")
-    for path, value in sorted(overrides.items()):
-        try:
-            _apply_override(config, path, value)
-        except CampaignSpecError as exc:
-            raise ProtocolError(str(exc)) from exc
-    if overrides:
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise ProtocolError(f"invalid configuration: {exc}") from exc
-
-    return RunRequest(
-        workload, prefetcher, variant, l1d=l1d, oracle_page_size=oracle,
-        n_accesses=n_accesses, table_scale=float(table_scale),
-        gb_fraction=float(gb_fraction), config=config).resolved()
+    if not isinstance(overrides, dict):
+        raise ProtocolError(
+            "'config' must be an object of dotted-path overrides")
+    params = {k: v for k, v in data.items() if k != "config"}
+    try:
+        return RunRequest(config=config_with(overrides),
+                          **params).resolved()
+    except RequestError as exc:
+        raise ProtocolError(str(exc)) from exc
 
 
 def request_digest(data) -> str:
@@ -158,9 +76,9 @@ def request_digest(data) -> str:
 
 def parse_submission(body) -> Dict[str, list]:
     """Parse a ``/batch`` body: ``{"requests": [...]}`` of objects."""
-    _require(isinstance(body, dict) and isinstance(
-        body.get("requests"), list),
-        "batch submission must be {'requests': [...]}")
-    requests = body["requests"]
-    _require(len(requests) >= 1, "'requests' must not be empty")
-    return {"requests": requests}
+    if not (isinstance(body, dict)
+            and isinstance(body.get("requests"), list)):
+        raise ProtocolError("batch submission must be {'requests': [...]}")
+    if not body["requests"]:
+        raise ProtocolError("'requests' must not be empty")
+    return {"requests": body["requests"]}

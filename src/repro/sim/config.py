@@ -185,6 +185,66 @@ class ConfigurationError(RuntimeError):
     """
 
 
+class RequestError(ConfigurationError):
+    """A run request names an experiment that cannot run.
+
+    Raised by ``RunRequest.validate()`` (and by :func:`apply_override`
+    while a request's configuration is built) before anything is
+    scheduled; each surface maps it once: the CLI to ``error: ...`` and
+    exit 2, serve to HTTP 400, a campaign to ``CampaignSpecError``.
+    """
+
+
+def resolve_config_path(config: SystemConfig, path: str):
+    """Walk a dotted SystemConfig attribute path to (owner, leaf name)."""
+    parts = path.split(".")
+    obj = config
+    for part in parts[:-1]:
+        if not hasattr(obj, part):
+            raise RequestError(
+                f"unknown configuration path {path!r} "
+                f"(no attribute {part!r} on {type(obj).__name__})")
+        obj = getattr(obj, part)
+    leaf = parts[-1]
+    # Only dataclass fields: a property or method is not settable data.
+    if not (dataclasses.is_dataclass(obj) and leaf in
+            {f.name for f in dataclasses.fields(obj)}):
+        raise RequestError(
+            f"unknown configuration path {path!r} "
+            f"(no field {leaf!r} on {type(obj).__name__})")
+    return obj, leaf
+
+
+def apply_override(config: SystemConfig, path: str, value) -> None:
+    """Set one dotted-path override, enforcing type compatibility."""
+    obj, leaf = resolve_config_path(config, path)
+    current = getattr(obj, leaf)
+    # bool first: it is an int subclass, and no bool passes as a number.
+    for kind, accepted, what in ((bool, bool, "a bool"),
+                                 (int, int, "an int"),
+                                 (float, (int, float), "a number"),
+                                 (str, str, "a string")):
+        if isinstance(current, kind):
+            if (not isinstance(value, accepted)
+                    or kind is not bool and isinstance(value, bool)):
+                raise RequestError(f"configuration path {path!r} expects "
+                                   f"{what}, got {value!r}")
+            setattr(obj, leaf, value)
+            return
+    raise RequestError(
+        f"configuration path {path!r} targets a non-scalar field "
+        f"({type(current).__name__}); address its scalar leaves instead")
+
+
+def config_with(overrides) -> SystemConfig:
+    """A default :class:`SystemConfig` with the dotted-path *overrides*
+    (a mapping of path to scalar) applied."""
+    config = SystemConfig()
+    for path, value in overrides.items():
+        apply_override(config, path, value)
+    return config
+
+
 def env_int(name: str, default: int, minimum: int | None = None) -> int:
     """Parse an integer environment knob, or raise ConfigurationError."""
     raw = os.environ.get(name)

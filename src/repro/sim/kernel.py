@@ -26,12 +26,12 @@ the *model* bit-for-bit identical while restructuring the *execution*:
    chunk boundaries and around the rare escapes into un-inlined
    machinery (page walks, writeback cascades).
 
-Equivalence is enforced three ways: the golden-trace corpus digests,
-the differential oracle (which exercises the compat loop — the same
-chunk preparation driving the ordinary ``_access`` path with its full
-observer event stream), and the snapshot/resume tests (chunk boundaries
-are clamped to snapshot barriers, so mid-run state dumps are bitwise
-identical to scalar ones).
+Runs the fused loop cannot mirror exactly (``_supports_fast``: the
+oracle's observer, invariant checks, stand-in components) take the
+scalar reference loop.  Equivalence is enforced three ways: the
+golden-trace corpus digests, scalar-vs-fused state digests, and the
+snapshot/resume tests (chunk boundaries are clamped to snapshot
+barriers, so mid-run state dumps are bitwise identical to scalar ones).
 
 What stays scalar and why: the prefetcher FSMs (SPP lookahead, PPF
 features, Set-Dueling counters) mutate tables per event with
@@ -87,40 +87,18 @@ def chunk_size() -> int:
 # Capability gates
 # ----------------------------------------------------------------------
 
-def _supports_vector(hierarchy) -> bool:
-    """Chunk pre-translation is only sound when nothing else allocates.
-
-    The TLB-prefetch extension and the L1D (virtual-address) prefetcher
-    both call ``allocator.translate`` mid-stream, which would interleave
-    first-touch allocations with the chunk's replay and change frame
-    assignment order.  A subclassed allocator may do anything at all.
-    """
-    import inspect
-    from repro.memory.hierarchy import MemoryHierarchy
-    from repro.vm.allocator import PhysicalMemoryAllocator
-    # Duck-typed stand-ins (fixed-latency stubs, monkey-patched methods,
-    # subclasses) take the scalar loop: the chunked path relies on
-    # load/store honouring the ``pre`` argument.
-    if type(hierarchy) is not MemoryHierarchy:
-        return False
-    try:
-        if ("pre" not in inspect.signature(hierarchy.load).parameters
-                or "pre" not in
-                inspect.signature(hierarchy.store).parameters):
-            return False
-    except (TypeError, ValueError):               # pragma: no cover
-        return False
-    return (type(hierarchy.allocator) is PhysicalMemoryAllocator
-            and hierarchy.l1d_prefetcher is None
-            and not hierarchy.config.tlb_prefetch)
-
-
 def _supports_fast(core, hierarchy) -> bool:
     """The fused loop mirrors specific implementations; anything it
     inlines must be exactly the stock class (a subclass could override
     behaviour the loop bypasses), every replacement policy must be plain
     LRU (``FIFOPolicy`` subclasses it with a different ``on_hit``), and
-    observers/invariant checks need the un-fused event sites."""
+    observers/invariant checks need the un-fused event sites.
+
+    Chunk pre-translation is only sound when nothing else allocates: the
+    TLB-prefetch extension and the L1D (virtual-address) prefetcher both
+    call ``allocator.translate`` mid-stream, which would interleave
+    first-touch allocations with the chunk's replay and change frame
+    assignment order.  A subclassed allocator may do anything at all."""
     from repro.cpu.core import Core
     from repro.memory.cache import Cache
     from repro.memory.dram import DRAM
@@ -128,10 +106,14 @@ def _supports_fast(core, hierarchy) -> bool:
     from repro.memory.mshr import MSHR
     from repro.memory.replacement import LRUPolicy
     from repro.core.ppm import PageSizePropagationModule
+    from repro.vm.allocator import PhysicalMemoryAllocator
     from repro.vm.tlb import TLB
     from repro.vm.walker import AddressTranslator
     if not (type(core) is Core
             and type(hierarchy) is MemoryHierarchy
+            and type(hierarchy.allocator) is PhysicalMemoryAllocator
+            and hierarchy.l1d_prefetcher is None
+            and not hierarchy.config.tlb_prefetch
             and hierarchy.observer is None
             and not hierarchy._check
             and not invariants.enabled()
@@ -161,24 +143,21 @@ def run_trace(core, trace, warmup_records: int = 0, start_index: int = 0,
               on_record=None, barrier_every: int = 0):
     """Execute *trace* on *core*; the ``Core.run`` entry point.
 
-    Picks the fastest loop the configuration supports: fused vector,
-    compat vector (chunk-prepared translation through the ordinary
-    ``_access`` path — used under observers/invariant checks), or the
-    scalar reference loop.
+    Takes the fused loop when the configuration supports it (see
+    ``_supports_fast``), else the scalar reference loop.
     """
     mode = kernel_mode()
-    records = trace.records
-    n = len(records)
+    n = len(trace.records)
     hierarchy = core.hierarchy
-    use_vector = (mode != "scalar" and _np is not None and n > 0
-                  and _supports_vector(hierarchy))
-    if use_vector and on_record is not None and barrier_every <= 0:
+    use_fast = (mode != "scalar" and _np is not None and n > 0
+                and _supports_fast(core, hierarchy))
+    if use_fast and on_record is not None and barrier_every <= 0:
         # An arbitrary per-record callback with no declared barrier must
         # observe exact state after every record; only the scalar loop
         # guarantees that.  (Snapshotting declares its barrier; kill
         # faults piggyback on it or tolerate the fallback.)
-        use_vector = False
-    if not use_vector:
+        use_fast = False
+    if not use_fast:
         return core.run_scalar(trace, warmup_records=warmup_records,
                                start_index=start_index, on_record=on_record)
     try:
@@ -192,7 +171,6 @@ def run_trace(core, trace, warmup_records: int = 0, start_index: int = 0,
 
     if start_index == 0:
         core.reset()
-    fast = _supports_fast(core, hierarchy)
     chunk = chunk_size()
     prepare = hierarchy.allocator.prepare_chunk
     index = start_index
@@ -205,32 +183,11 @@ def run_trace(core, trace, warmup_records: int = 0, start_index: int = 0,
         if barrier_every > 0:
             end = min(end, ((index // barrier_every) + 1) * barrier_every)
         pre = prepare(addresses[index:end])
-        if fast:
-            _run_chunk_fast(core, hierarchy, cols, pre, index, end,
-                            on_record)
-        else:
-            _run_chunk_compat(core, records, pre, index, end, on_record)
+        _run_chunk_fast(core, hierarchy, cols, pre, index, end, on_record)
         index = end
     if warmup_records >= n:
         core.begin_measurement()
     return core.finish()
-
-
-def _run_chunk_compat(core, records, pre, lo: int, hi: int,
-                      on_record) -> None:
-    """Chunk-prepared translation through the ordinary access path.
-
-    Keeps every observer event, invariant check and statistic exactly as
-    the scalar path emits them (state lives in the objects after every
-    record), while still skipping the per-access allocator translation.
-    """
-    paddr_l, ps_l, _, _ = pre
-    step = core.step
-    for i in range(lo, hi):
-        j = i - lo
-        step(records[i], (paddr_l[j], ps_l[j]))
-        if on_record is not None:
-            on_record(i)
 
 
 def _run_chunk_fast(core, h, cols, pre, lo: int, hi: int,

@@ -32,6 +32,8 @@ engine removes that redundancy at three levels:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +41,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.factory import PREFETCHERS, VARIANTS
 from repro.sim import cache as disk_cache
 from repro.sim import config
 from repro.sim import faults, supervisor
@@ -47,10 +50,15 @@ from repro.sim.supervisor import (   # re-exported for callers
     RunFailure,
     RunOutcome,
 )
-from repro.sim.config import DuelingConfig, SystemConfig, accesses_for_scale
+from repro.sim.config import (   # RequestError re-exported for callers
+    DuelingConfig,
+    RequestError,
+    SystemConfig,
+    accesses_for_scale,
+)
 from repro.sim.metrics import RunMetrics
-from repro.sim.simulator import simulate_workload
-from repro.workloads.suites import WorkloadSpec
+from repro.sim.simulator import L1D_PREFETCHERS, simulate_workload
+from repro.workloads.suites import WorkloadSpec, catalog
 
 _CACHE: Dict[tuple, RunMetrics] = {}
 
@@ -95,6 +103,17 @@ def config_fingerprint(config: SystemConfig,
     return (_freeze(config), ("dueling", _freeze(duel)))
 
 
+@functools.lru_cache(maxsize=None)
+def _workload_names() -> frozenset:
+    """Catalog names a request may give as its workload (built once)."""
+    return frozenset(catalog(include_non_intensive=True))
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class RunRequest:
     """One (workload, prefetcher, variant, configuration) simulation."""
@@ -110,13 +129,59 @@ class RunRequest:
     config: Optional[SystemConfig] = None
     dueling: Optional[DuelingConfig] = None
 
+    def validate(self) -> None:
+        """Raise :class:`RequestError` unless every field names a run
+        that can execute.
+
+        The one check of a run request: the CLI, serve admission and
+        campaign expansion all reach it through :meth:`resolved`, so an
+        impossible request is rejected before anything is scheduled.
+        """
+        workload = self.workload
+        if not (isinstance(workload, WorkloadSpec)
+                or isinstance(workload, str)
+                and workload in _workload_names()):
+            raise RequestError(f"unknown workload {workload!r} "
+                               f"(see 'repro catalog --all')")
+        for name, choices in (("prefetcher", PREFETCHERS),
+                              ("variant", VARIANTS),
+                              ("l1d", L1D_PREFETCHERS)):
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in choices:
+                raise RequestError(f"unknown {name} {value!r} "
+                                   f"(choose from {sorted(choices)})")
+        n, scale, gb = self.n_accesses, self.table_scale, self.gb_fraction
+        for name, ok, what in (
+                ("oracle_page_size", isinstance(self.oracle_page_size, bool),
+                 "a bool"),
+                ("n_accesses", n is None or type(n) is int and n >= 1,
+                 "a positive integer"),
+                ("table_scale", _finite(scale) and scale > 0,
+                 "a finite number > 0"),
+                ("gb_fraction", _finite(gb) and 0 <= gb <= 1,
+                 "a finite number in [0, 1]")):
+            if not ok:
+                raise RequestError(
+                    f"{name} must be {what}, got {getattr(self, name)!r}")
+        if self.config is not None:
+            try:
+                self.config.validate()
+            except (ValueError, ArithmeticError) as exc:
+                raise RequestError(
+                    f"invalid configuration: {exc}") from exc
+
     def resolved(self) -> "RunRequest":
-        """Fill scale/config defaults so the fingerprint is self-contained."""
+        """:meth:`validate`, then fill scale/config defaults and cast the
+        float fields to ``float``, so the fingerprint is self-contained
+        and one experiment has one key whichever surface built it."""
+        self.validate()
         config = self.config if self.config is not None else SystemConfig()
         return dataclasses.replace(
             self,
             n_accesses=(self.n_accesses if self.n_accesses is not None
                         else accesses_for_scale()),
+            table_scale=float(self.table_scale),
+            gb_fraction=float(self.gb_fraction),
             config=config,
             dueling=self.dueling if self.dueling is not None
             else config.dueling)
@@ -130,6 +195,12 @@ class RunRequest:
         widens the key — two different configurations can never collide.
         """
         return ("run", _freeze(self.resolved()))
+
+
+#: The request fields a submission body or a campaign axis sets by
+#: name; ``config`` is reached through dotted SystemConfig paths.
+PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(RunRequest)
+                     if f.name not in ("config", "dueling"))
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +343,10 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
     per-request :class:`RunOutcome` records is returned and no exception
     propagates.  ``fail_fast`` (default: the value of ``strict``)
     controls whether remaining runs are skipped after the first failure.
+
+    Every request is checked by :meth:`RunRequest.validate` first: an
+    invalid one raises :class:`RequestError` before anything is
+    scheduled or counted, even with ``strict=False``.
     """
     batch_start = time.perf_counter()
     reqs = [_coerce(r).resolved() for r in requests]

@@ -51,8 +51,14 @@ class TraceFormatError(ValueError):
                  line: Optional[int] = None):
         self.path = str(path)
         self.line = line
+        self.detail = message
         where = f"{path}, line {line}" if line is not None else str(path)
         super().__init__(f"{where}: {message}")
+
+    def __reduce__(self):
+        # Rebuild from the constructor arguments, so the error crosses
+        # a process boundary (strict re-raise from a pool worker) intact.
+        return type(self), (self.path, self.detail, self.line)
 
 
 #: Exceptions a corrupt/truncated gzip stream can surface mid-read.

@@ -107,6 +107,38 @@ class TestCompare:
         assert "unknown variant" in capsys.readouterr().err
 
 
+class TestRequestBoundary:
+    """An impossible request exits 2 before anything is scheduled."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--workload", "nope"],
+        ["--workload", "mcf", "--accesses", "0"],
+        ["--workload", "mcf", "--accesses", "-3"],
+        ["--workload", "mcf", "--gb-fraction", "2"],
+        ["--workload", "mcf", "--gb-fraction", "nan"],
+    ])
+    def test_run_rejects_before_scheduling(self, flags, tmp_path,
+                                           monkeypatch, capsys):
+        from repro.sim import cache as disk_cache
+        from repro.sim.runner import engine_stats, reset_engine_stats
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        reset_engine_stats()
+        assert main(["run", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and "FAILED" not in err
+        assert engine_stats().requests == 0
+        assert disk_cache.stats().entries == 0
+
+    def test_campaign_new_rejects_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        assert main(["campaign", "new", "--name", "bad",
+                     "--spec", str(path), "--axis", "workload=nope"]) == 2
+        assert "unknown workload" in capsys.readouterr().err
+        assert not path.exists()
+
+
 class TestCatalog:
     def test_lists_80(self, capsys):
         assert main(["catalog"]) == 0

@@ -176,12 +176,24 @@ class TestKnobsAndGating:
         metrics = simulate_trace(trace, prefetcher="spp", variant="psa")
         assert metrics.memory_accesses == 25   # measured half
 
-    def test_oracle_uses_compat_loop(self, monkeypatch):
+    def test_oracle_uses_scalar_loop(self, monkeypatch):
         """Under the differential oracle the hierarchy has an observer,
-        so the fused loop must disengage — and the oracle must pass."""
+        so the run takes the scalar reference loop — and the oracle must
+        pass."""
         monkeypatch.setenv("REPRO_KERNEL", "vector")
+        scalar_runs = []
+        run_scalar = Core.run_scalar
+
+        def spy(core, *args, **kwargs):
+            scalar_runs.append(core)
+            return run_scalar(core, *args, **kwargs)
+
+        monkeypatch.setattr(Core, "run_scalar", spy)
+        monkeypatch.setattr(kernel, "_run_chunk_fast", lambda *a, **k:
+                            pytest.fail("fused loop ran under the oracle"))
         trace = catalog()["mcf"].generate(1200)
         metrics = simulate_trace(trace, prefetcher="spp", variant="psa-sd",
                                  oracle=True)
+        assert scalar_runs
         assert metrics.oracle_report is not None
         assert metrics.oracle_report.ok

@@ -375,6 +375,10 @@ class TestProtocol:
             protocol.parse_run_request(
                 {"workload": "lbm",
                  "config": {"llc.size_bytes": 12345}})  # invalid geometry
+        for body in ('{"workload": "mcf", "gb_fraction": NaN}',
+                     '{"workload": "mcf", "table_scale": Infinity}'):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.parse_run_request(json.loads(body))
 
 
 class TestQueueUnit:

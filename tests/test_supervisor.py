@@ -111,24 +111,32 @@ class TestRetries:
         assert outcome.failure.exc_type == "InjectedError"
         assert outcome.failure.traceback        # full traceback captured
 
-    def test_permanent_error_fails_immediately(self):
-        batch = run_batch([req(l1d="bogus")], jobs=1, strict=False,
-                          retries=2)
+    def test_permanent_error_fails_immediately(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "truncate@0")
+        batch = run_batch([req()], jobs=1, strict=False, retries=2)
         outcome = batch.outcomes[0]
         assert outcome.status == "failed"
-        assert outcome.attempts == 1            # no retry for a bad request
-        assert outcome.failure.exc_type == "ValueError"
+        assert outcome.attempts == 1            # no retry for a bad trace
+        assert outcome.failure.exc_type == "TraceFormatError"
         assert outcome.failure.permanent
+
+    def test_invalid_request_rejected_before_scheduling(self):
+        with pytest.raises(runner.RequestError, match="l1d"):
+            run_batch([req(l1d="bogus")], strict=False)
+        assert engine_stats().requests == 0
+        assert engine_stats().simulated == 0
 
 
 class TestStrictMode:
-    def test_strict_reraises_original_serial(self):
-        with pytest.raises(ValueError, match="l1d"):
-            run_batch([req(l1d="bogus")], jobs=1)
+    def test_strict_reraises_original_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "truncate@0")
+        with pytest.raises(ValueError, match="truncation"):
+            run_batch([req()], jobs=1)
 
-    def test_strict_reraises_original_from_worker(self):
-        with pytest.raises(ValueError, match="l1d"):
-            run_batch([req(l1d="bogus"), req("milc")], jobs=2)
+    def test_strict_reraises_original_from_worker(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "truncate@0")
+        with pytest.raises(ValueError, match="truncation"):
+            run_batch([req(), req("milc")], jobs=2)
 
     def test_strict_failure_keeps_completed_checkpoints(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "error@1")
