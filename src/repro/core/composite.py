@@ -34,9 +34,7 @@ from repro.prefetch.base import (
     PrefetchContext,
     PrefetchRequest,
 )
-from repro.sim.config import DuelingConfig
-
-POLICIES = ("proposed", "standard", "page-size")
+from repro.sim.config import DUELING_POLICIES, DuelingConfig
 
 #: ``factory(region_bits) -> L2Prefetcher`` builds one component instance.
 PrefetcherFactory = Callable[[int], L2Prefetcher]
@@ -48,8 +46,8 @@ class CompositePSAPrefetcher(L2PrefetchModule):
     def __init__(self, factory: PrefetcherFactory, num_l2_sets: int,
                  config: Optional[DuelingConfig] = None) -> None:
         self.config = config if config is not None else DuelingConfig()
-        if self.config.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, "
+        if self.config.policy not in DUELING_POLICIES:
+            raise ValueError(f"policy must be one of {DUELING_POLICIES}, "
                              f"got {self.config.policy!r}")
         self.pref_psa = factory(12)
         self.pref_psa_2mb = factory(21)

@@ -170,46 +170,84 @@ class Core:
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace, warmup_records: int = 0,
-            start_index: int = 0, on_record=None,
-            barrier_every: int = 0) -> CoreResult:
+            start_index: int = 0, on_record=None) -> CoreResult:
         """Execute a whole trace; stats cover the post-warmup portion.
 
         ``start_index`` resumes mid-trace from checkpointed state (the
         core is *not* reset), and ``on_record(index)`` — called after each
         record completes — lets the snapshot machinery observe progress.
 
-        Dispatches to the columnar hot-path kernel (``repro.sim.kernel``)
-        when it is enabled and this configuration supports it; falls back
-        to the scalar reference loop otherwise.  ``barrier_every`` tells
-        the kernel at which access indices ``on_record`` must observe
-        fully consistent object state (the snapshot interval); outside
-        those barriers a kernel-mode ``on_record`` may see counters that
-        are still batched in the inner loop's locals.
-        """
-        from repro.sim.kernel import run_trace
-        return run_trace(self, trace, warmup_records=warmup_records,
-                         start_index=start_index, on_record=on_record,
-                         barrier_every=barrier_every)
-
-    def run_scalar(self, trace: Trace, warmup_records: int = 0,
-                   start_index: int = 0, on_record=None) -> CoreResult:
-        """The scalar reference loop (exact semantics, one step per record).
-
-        This is the behavioural ground truth the vectorized kernel is
-        verified against; ``REPRO_KERNEL=scalar`` forces it.
+        The loop is :meth:`step` with the ROB and fetch state held in
+        locals; they are written back before ``on_record`` and
+        ``begin_measurement`` run, so both see exact object state.
         """
         if start_index == 0:
             self.reset()
         records = trace.records
+        load = self.hierarchy.load
+        store = self.hierarchy.store
+        rob_entries = self.rob_entries
+        fetch_width = self.fetch_width
+        inflight = self.inflight
+        fetch = self.fetch
+        retire_frontier = self.retire_frontier
+        occupancy = self.occupancy
+        last_load_complete = self.last_load_complete
+        instructions = self.instructions
+        memory_accesses = self.memory_accesses
+        stall_cycles = self.stall_cycles
         for index in range(start_index, len(records)):
             if index == warmup_records:
+                self._store(fetch, retire_frontier, occupancy,
+                            last_load_complete, instructions,
+                            memory_accesses, stall_cycles)
                 self.begin_measurement()
-            self.step(records[index])
+            ip, vaddr, kind, bubble, dep = records[index]
+            entries = bubble + 1
+            while occupancy + entries > rob_entries and inflight:
+                complete, freed = inflight.popleft()
+                if complete > retire_frontier:
+                    retire_frontier = complete
+                occupancy -= freed
+            if retire_frontier > fetch:
+                stall_cycles += retire_frontier - fetch
+                fetch = retire_frontier
+            fetch += entries / fetch_width
+            issue_at = fetch
+            if dep and last_load_complete > issue_at:
+                issue_at = last_load_complete
+            if kind == KIND_LOAD:
+                complete = load(vaddr, ip, issue_at)
+                last_load_complete = complete
+            else:
+                store(vaddr, ip, issue_at)
+                complete = issue_at + 1.0
+            inflight.append((complete, entries))
+            occupancy += entries
+            instructions += entries
+            memory_accesses += 1
             if on_record is not None:
+                self._store(fetch, retire_frontier, occupancy,
+                            last_load_complete, instructions,
+                            memory_accesses, stall_cycles)
                 on_record(index)
+        self._store(fetch, retire_frontier, occupancy, last_load_complete,
+                    instructions, memory_accesses, stall_cycles)
         # A killed attempt can never have executed this (it dies inside the
         # loop), so firing it on resumed runs too matches the uninterrupted
         # execution exactly.
         if warmup_records >= len(records):
             self.begin_measurement()
         return self.finish()
+
+    def _store(self, fetch: float, retire_frontier: float, occupancy: int,
+               last_load_complete: float, instructions: int,
+               memory_accesses: int, stall_cycles: float) -> None:
+        """Write :meth:`run`'s loop locals back to the core."""
+        self.fetch = fetch
+        self.retire_frontier = retire_frontier
+        self.occupancy = occupancy
+        self.last_load_complete = last_load_complete
+        self.instructions = instructions
+        self.memory_accesses = memory_accesses
+        self.stall_cycles = stall_cycles

@@ -105,31 +105,3 @@ def page1g_number(addr: int) -> int:
 def page1g_of_block(block: int) -> int:
     """Return the 1GB page number containing a cache block."""
     return block >> (PAGE_1G_BITS - BLOCK_BITS)
-
-
-# ----------------------------------------------------------------------
-# Vectorized (columnar) variants, used by the hot-path kernel
-# ----------------------------------------------------------------------
-# Each helper is the array form of its scalar namesake above, so the
-# shift/mask constants stay defined in exactly one module.  They accept
-# and return numpy integer arrays; numpy itself is optional (the scalar
-# simulator never imports these).
-
-def block_numbers(addrs):
-    """Array form of :func:`block_number`."""
-    return addrs >> BLOCK_BITS
-
-
-def page_numbers(addrs):
-    """Array form of :func:`page_number` (4KB page numbers)."""
-    return addrs >> PAGE_4K_BITS
-
-
-def page2m_numbers(addrs):
-    """Array form of :func:`page2m_number` (2MB page numbers)."""
-    return addrs >> PAGE_2M_BITS
-
-
-def page1g_numbers(addrs):
-    """Array form of :func:`page1g_number` (1GB page numbers)."""
-    return addrs >> PAGE_1G_BITS

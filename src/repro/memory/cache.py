@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.mshr import MSHR
-from repro.memory.replacement import make_policy
+from repro.memory.replacement import LRUPolicy
 from repro.sim.config import CacheConfig
 from repro.verify import invariants
 
@@ -43,7 +43,7 @@ class CacheLine:
 class Cache:
     """One level of a set-associative cache with an attached MSHR."""
 
-    def __init__(self, config: CacheConfig, replacement: str = "lru") -> None:
+    def __init__(self, config: CacheConfig) -> None:
         config.validate()
         self.name = config.name
         self.latency = config.latency
@@ -51,7 +51,7 @@ class Cache:
         self.ways = config.ways
         self._set_mask = self.num_sets - 1
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(self.num_sets)]
-        self._policies = [make_policy(replacement) for _ in range(self.num_sets)]
+        self._policies = [LRUPolicy() for _ in range(self.num_sets)]
         self.mshr = MSHR(config.name, config.mshr_entries)
         # In-flight prefetch fills live in a separate structure (the
         # prefetch queue of real designs): prefetches must not consume the
@@ -104,21 +104,38 @@ class Cache:
             if not prefetch:
                 existing.prefetch = False
             return None
-        evicted = None
-        if len(cache_set) >= self.ways:
-            victim = self._policies[idx].victim()
+        victim, victim_line = self._place(
+            cache_set, idx, block, CacheLine(dirty, prefetch, issuer))
+        return None if victim is None else (victim, victim_line)
+
+    def _place(self, cache_set: Dict[int, CacheLine], idx: int, block: int,
+               line: CacheLine):
+        """Install *line* for a non-resident *block* in set *idx*.
+
+        Evicts the LRU line when the set is full and returns it as
+        ``(victim_block, victim_line)``, else ``(None, None)``.  The
+        hierarchy's demand path calls this directly with the set it has
+        already looked up.
+        """
+        policy = self._policies[idx]
+        stamps = policy._stamps
+        if len(cache_set) < self.ways:
+            victim = victim_line = None
+        else:
+            victim = min(stamps, key=stamps.__getitem__)
             if self._check and victim not in cache_set:
                 invariants.violated(
                     f"{self.name}: replacement policy of set {idx} named "
                     f"victim {victim:#x} that is not resident in the set")
             victim_line = cache_set.pop(victim)
-            self._policies[idx].on_evict(victim)
+            del stamps[victim]
             if victim_line.dirty:
                 self.writebacks += 1
-            evicted = (victim, victim_line)
-        cache_set[block] = CacheLine(dirty=dirty, prefetch=prefetch, issuer=issuer)
-        self._policies[idx].on_fill(block)
-        if prefetch:
+        cache_set[block] = line
+        clock = policy._clock + 1
+        policy._clock = clock
+        stamps[block] = clock
+        if line.prefetch:
             self.prefetch_fills += 1
         if self._check:
             if len(cache_set) > self.ways:
@@ -129,7 +146,7 @@ class Cache:
                 invariants.violated(
                     f"{self.name}: block {block:#x} filled into set {idx}, "
                     f"but indexes to set {block & self._set_mask}")
-        return evicted
+        return victim, victim_line
 
     def invalidate(self, block: int) -> bool:
         """Drop *block* if resident; return True when something was removed."""

@@ -40,13 +40,6 @@ class DRAM:
         self.row_misses = 0
         self.total_queue_cycles = 0.0
 
-    def _route(self, block: int) -> tuple:
-        channel = block % self.channels
-        within = block // self.channels
-        bank = within % self.banks
-        row = within // (self.banks * self._blocks_per_row)
-        return channel, bank, row
-
     def access(self, block: int, now: float, is_write: bool = False) -> float:
         """Serve one 64B request; return the cycle its data is available.
 
@@ -54,7 +47,10 @@ class DRAM:
         consume channel bandwidth and disturb row buffers, so heavy
         writeback traffic delays subsequent reads.
         """
-        channel, bank, row = self._route(block)
+        channel = block % self.channels
+        within = block // self.channels
+        bank = within % self.banks
+        row = within // (self.banks * self._blocks_per_row)
         start = self._channel_free[channel]
         if start < now:
             start = now

@@ -33,10 +33,13 @@ from repro.memory.address import (
     BLOCKS_PER_1G,
     BLOCKS_PER_2M,
     BLOCKS_PER_4K,
+    PAGE_1G_BITS,
+    PAGE_2M_BITS,
+    PAGE_4K_BITS,
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
 )
-from repro.memory.cache import Cache
+from repro.memory.cache import Cache, CacheLine
 from repro.memory.dram import DRAM
 from repro.prefetch.base import L1DPrefetcher, PrefetchRequest
 from repro.sim.config import SystemConfig
@@ -44,6 +47,9 @@ from repro.verify import invariants
 from repro.vm.allocator import PhysicalMemoryAllocator
 from repro.vm.page_table import PageTable
 from repro.vm.walker import AddressTranslator
+
+#: Native page-number shift, indexed by page-size code (4KB, 2MB, 1GB).
+_PAGE_SHIFT = (PAGE_4K_BITS, PAGE_2M_BITS, PAGE_1G_BITS)
 
 
 class MemoryHierarchy:
@@ -108,29 +114,66 @@ class MemoryHierarchy:
     def load(self, vaddr: int, ip: int, now: float) -> float:
         """Demand load; returns the cycle the data is available."""
         self.loads += 1
-        ready = self._access(vaddr, ip, now, is_write=False)
+        ready = self._access(vaddr, ip, now, False)
         self.load_latency_sum += ready - now
         return ready
 
     def store(self, vaddr: int, ip: int, now: float) -> float:
         """Demand store (write-allocate, posted; caller may ignore timing)."""
         self.stores += 1
-        return self._access(vaddr, ip, now, is_write=True)
+        return self._access(vaddr, ip, now, True)
 
     def _access(self, vaddr: int, ip: int, now: float,
                 is_write: bool) -> float:
+        """The demand path: translation, L1D, L2C (+ prefetch issue), LLC.
+
+        Every demand access of every run executes this one method, from
+        ``Core.run`` and ``Core.step`` alike.  Hot structures are probed
+        inline and counters are written straight to their objects.  The
+        oracle's observer events sit behind one test of ``obs`` each, the
+        REPRO_CHECK invariants behind the components' ``_check`` flags.
+        """
         obs = self.observer
         if obs is not None:
             obs.on_access_begin(vaddr, is_write)
-        paddr, translate_latency, page_size = self.translator.translate(
-            vaddr, now, self._walk_access)
+        # --- translation: the DTLB is probed at the address's native
+        # granularity, the only key under which it can be cached --------
+        paddr, page_size = self.allocator.translate(vaddr)
+        dtlb = self.translator.dtlb
+        page = vaddr >> _PAGE_SHIFT[page_size]
+        key = (page_size, page)
+        clock = dtlb._clock + 1
+        dtlb._clock = clock
+        tlb_set = dtlb._sets[page % dtlb.num_sets]
+        if key in tlb_set:
+            tlb_set[key] = clock
+            dtlb.hits += 1
+            if page_size == PAGE_SIZE_2M:
+                dtlb.hits_2m += 1
+            t = now
+        else:
+            dtlb.misses += 1
+            t = now + self.translator._translate_after_dtlb_miss(
+                vaddr, page_size, now, self._walk_access)
         if obs is not None:
             obs.on_translate(vaddr, paddr, page_size)
-        t = now + translate_latency
         block = paddr >> 6
-        line = self.l1d.lookup(block)
+        # --- L1D ------------------------------------------------------
+        l1d = self.l1d
+        s1 = block & l1d._set_mask
+        line = l1d._sets[s1].get(block)
         hit = line is not None
-        self.l1d.record_demand(hit, line)
+        l1d.demand_accesses += 1
+        if hit:
+            policy = l1d._policies[s1]
+            policy._clock += 1
+            policy._stamps[block] = policy._clock
+            l1d.demand_hits += 1
+            if line.prefetch:
+                l1d.useful_prefetches += 1
+                line.prefetch = False
+        else:
+            l1d.demand_misses += 1
         # Emitted at lookup time, before any L1 prefetch can fill this set:
         # the observer's mirror must see the same state the lookup saw.
         if obs is not None:
@@ -138,147 +181,187 @@ class MemoryHierarchy:
         if self.l1d_prefetcher is not None and not is_write:
             for pf_vaddr in self.l1d_prefetcher.on_access(vaddr, ip, hit):
                 self._issue_l1_prefetch(pf_vaddr, t)
+        pending = l1d.inflight_lookup(block, t)
         if hit:
             if is_write:
                 line.dirty = True
-            ready = t + self.l1d.latency
-            pending = self.l1d.inflight_lookup(block, t)
+            ready = t + l1d.latency
             if pending is not None and pending[0] > ready:
                 # The line was filled by a still-in-flight (pre)fetch: the
                 # demand waits for the remaining latency (late prefetch).
                 ready = pending[0]
             return ready
-        inflight = self.l1d.inflight_lookup(block, t)
-        if inflight is not None:
-            ready = inflight[0]
+        if pending is not None:
             if is_write:
                 if obs is not None:
                     obs.on_mark_dirty("l1d", block)
-                self.l1d.mark_dirty(block)
-            return max(ready, t + self.l1d.latency)
-        t = self.l1d.mshr.stall_until_free(t)
-        ready = self._l2_demand(block, ip, t + self.l1d.latency,
-                                page_size_bit_source=page_size)
-        # PPM: the page-size bit rides in the L1D MSHR entry.
-        self.ppm.annotate_l1d_miss(self.l1d.mshr, block, ready, page_size)
-        self._fill_l1(block, dirty=is_write)
-        return ready
-
-    # ------------------------------------------------------------------
-    def _l2_demand(self, block: int, ip: int, t: float,
-                   page_size_bit_source: int) -> float:
-        """Demand access at the L2C; engages the L2C prefetcher."""
-        true_page_size = page_size_bit_source
+                l1d.mark_dirty(block)
+            return max(pending[0], t + l1d.latency)
+        mshr = l1d.mshr
+        if len(mshr._entries) >= mshr.capacity:
+            t = mshr.stall_until_free(t)
+        # --- L2C demand: engages the L2C prefetcher -------------------
+        t = t + l1d.latency
         if self.oracle_page_size:
-            page_size_bit: Optional[int] = true_page_size
+            page_size_bit = page_size
         else:
-            page_size_bit = self.ppm.page_size_for_l2(true_page_size)
-        obs = self.observer
-        line = self.l2c.lookup(block)
+            page_size_bit = self.ppm.page_size_for_l2(page_size)
+        l2c = self.l2c
+        s2 = block & l2c._set_mask
+        l2_set = l2c._sets[s2]
+        line = l2_set.get(block)
         hit = line is not None
-        useful_issuer = self.l2c.record_demand(hit, line)
-        if useful_issuer is not None:
-            self.l2_module.on_useful(block, useful_issuer)
-        set_index = self.l2c.set_index(block)
-        requests = self.l2_module.on_l2_access(
-            block, ip, hit, set_index, page_size_bit, true_page_size)
+        l2c.demand_accesses += 1
+        useful_issuer = None
         if hit:
-            if obs is not None:
-                obs.on_l2_demand(block, True, False, page_size_bit,
-                                 useful_issuer)
-            ready = t + self.l2c.latency
-            pending = self.l2c.inflight_lookup(block, t)
+            policy = l2c._policies[s2]
+            policy._clock += 1
+            policy._stamps[block] = policy._clock
+            l2c.demand_hits += 1
+            if line.prefetch:
+                l2c.useful_prefetches += 1
+                line.prefetch = False
+                useful_issuer = line.issuer
+        else:
+            l2c.demand_misses += 1
+        module = self.l2_module
+        if useful_issuer is not None:
+            module.on_useful(block, useful_issuer)
+        requests = module.on_l2_access(block, ip, hit, s2, page_size_bit,
+                                       page_size)
+        if not hit:
+            module.on_demand_miss(block)
+        pending = l2c.inflight_lookup(block, t)
+        if obs is not None:
+            obs.on_l2_demand(block, hit, not hit and pending is not None,
+                             page_size_bit, useful_issuer)
+        if hit:
+            ready = t + l2c.latency
             if pending is not None and pending[0] > ready:
                 ready = pending[0]   # late prefetch: partial latency saving
+        elif pending is not None:
+            ready = max(pending[0], t + l2c.latency)
         else:
-            self.l2_module.on_demand_miss(block)
-            inflight = self.l2c.inflight_lookup(block, t)
-            if inflight is not None:
-                if obs is not None:
-                    obs.on_l2_demand(block, False, True, page_size_bit,
-                                     useful_issuer)
-                ready = max(inflight[0], t + self.l2c.latency)
+            l2_mshr = l2c.mshr
+            t_alloc = t
+            if len(l2_mshr._entries) >= l2_mshr.capacity:
+                t_alloc = l2_mshr.stall_until_free(t)
+            bit = page_size_bit if self.config.ppm_to_llc else None
+            ready = self._llc_demand(block, t_alloc + l2c.latency, ip,
+                                     bit, page_size)
+            l2_mshr.insert(block, ready, 0 if bit is None else bit)
+            # Fill the L2C: merge into a resident line, else place (LRU).
+            victim = None
+            existing = l2_set.get(block)
+            if existing is not None:
+                existing.prefetch = False
             else:
-                if obs is not None:
-                    obs.on_l2_demand(block, False, False, page_size_bit,
-                                     useful_issuer)
-                t_alloc = self.l2c.mshr.stall_until_free(t)
-                bit = page_size_bit if self.config.ppm_to_llc else None
-                ready = self._llc_demand(block, t_alloc + self.l2c.latency,
-                                         ip=ip, page_size_bit=bit,
-                                         true_page_size=true_page_size)
-                self.l2c.mshr.insert(block, ready,
-                                     page_size=0 if bit is None else bit)
-                self._fill_l2(block)
+                victim, victim_line = l2c._place(l2_set, s2, block,
+                                                 CacheLine())
+            if obs is not None:
+                obs.on_fill("l2c", block, False, False, -1, victim)
+            if victim is not None:
+                self._l2_evicted(victim, victim_line)
         self.l2_demand_latency_sum += ready - t
         self.l2_demand_latency_count += 1
-        # Issue the prefetches the module produced for this access.
-        for request in requests:
-            self._issue_l2_prefetch(request, t, trigger_block=block,
-                                    page_size_bit=page_size_bit)
+        if requests:
+            self._issue_l2_prefetches(requests, t, block, page_size_bit)
+        # PPM: the page-size bit rides in the L1D MSHR entry.
+        self.ppm.annotate_l1d_miss(mshr, block, ready, page_size)
+        # Fill the L1D: merge into a resident line, else place (LRU).
+        victim = None
+        l1_set = l1d._sets[s1]
+        existing = l1_set.get(block)
+        if existing is not None:
+            existing.dirty = existing.dirty or is_write
+            existing.prefetch = False
+        else:
+            victim, victim_line = l1d._place(l1_set, s1, block,
+                                             CacheLine(is_write))
+        if obs is not None:
+            obs.on_fill("l1d", block, is_write, False, -1, victim)
+        if victim is not None and victim_line.dirty:
+            self._writeback_to_l2(victim)
         return ready
 
-    def _llc_demand(self, block: int, t: float,
-                    count_demand: bool = True, ip: int = 0,
+    def _llc_demand(self, block: int, t: float, ip: int = 0,
                     page_size_bit: Optional[int] = None,
-                    true_page_size: int = 0) -> float:
+                    true_page_size: int = 0,
+                    count_demand: bool = True) -> float:
+        """LLC access for an L2C demand miss (or, uncounted, a walk read).
+
+        Page-walk reads reuse this path but are not demand traffic: they
+        must not perturb coverage/accuracy accounting or train the LLC
+        prefetcher.
+        """
         obs = self.observer
-        line = self.llc.lookup(block)
+        llc = self.llc
+        s3 = block & llc._set_mask
+        llc_set = llc._sets[s3]
+        line = llc_set.get(block)
         hit = line is not None
-        llc_requests = []
-        useful_issuer = None
-        if count_demand:
-            # Page-walk reads reuse this path but are not demand traffic:
-            # they must not perturb coverage/accuracy accounting.
-            useful_issuer = self.llc.record_demand(hit, line)
-            if useful_issuer is not None:
-                self.l2_module.on_useful(block, useful_issuer)
-            if self.llc_module is not None:
-                llc_requests = self.llc_module.on_l2_access(
-                    block, ip, hit, self.llc.set_index(block),
-                    page_size_bit, true_page_size)
         if hit:
-            if obs is not None:
-                obs.on_llc_demand(block, True, False, count_demand,
-                                  useful_issuer)
-            ready = t + self.llc.latency
-            pending = self.llc.inflight_lookup(block, t)
+            policy = llc._policies[s3]
+            policy._clock += 1
+            policy._stamps[block] = policy._clock
+        useful_issuer = None
+        llc_module = self.llc_module if count_demand else None
+        if count_demand:
+            llc.demand_accesses += 1
+            if hit:
+                llc.demand_hits += 1
+                if line.prefetch:
+                    llc.useful_prefetches += 1
+                    line.prefetch = False
+                    useful_issuer = line.issuer
+                    self.l2_module.on_useful(block, useful_issuer)
+            else:
+                llc.demand_misses += 1
+            if llc_module is not None:
+                llc_requests = llc_module.on_l2_access(
+                    block, ip, hit, s3, page_size_bit, true_page_size)
+        pending = llc.inflight_lookup(block, t)
+        if obs is not None:
+            obs.on_llc_demand(block, hit, not hit and pending is not None,
+                              count_demand, useful_issuer)
+        if hit:
+            ready = t + llc.latency
             if pending is not None and pending[0] > ready:
                 ready = pending[0]   # late prefetch: partial latency saving
+        elif pending is not None:
+            ready = max(pending[0], t + llc.latency)
         else:
-            inflight = self.llc.inflight_lookup(block, t)
-            if inflight is not None:
-                if obs is not None:
-                    obs.on_llc_demand(block, False, True, count_demand,
-                                      useful_issuer)
-                ready = max(inflight[0], t + self.llc.latency)
+            mshr = llc.mshr
+            t_alloc = t
+            if len(mshr._entries) >= mshr.capacity:
+                t_alloc = mshr.stall_until_free(t)
+            ready = self.dram.access(block, t_alloc + llc.latency)
+            mshr.insert(block, ready)
+            # Fill the LLC: merge into a resident line, else place (LRU).
+            victim = None
+            existing = llc_set.get(block)
+            if existing is not None:
+                existing.prefetch = False
             else:
-                if obs is not None:
-                    obs.on_llc_demand(block, False, False, count_demand,
-                                      useful_issuer)
-                t_alloc = self.llc.mshr.stall_until_free(t)
-                ready = self.dram.access(block, t_alloc + self.llc.latency)
-                self.llc.mshr.insert(block, ready)
-                self._fill_llc(block)
+                victim, victim_line = llc._place(llc_set, s3, block,
+                                                 CacheLine())
+            if obs is not None:
+                obs.on_fill("llc", block, False, False, -1, victim)
+            if victim is not None and victim_line.dirty:
+                # Posted write: consumes DRAM bandwidth, nobody waits.
+                self.dram.access(victim, 0.0, is_write=True)
         if count_demand:
             self.llc_demand_latency_sum += ready - t
             self.llc_demand_latency_count += 1
-            for request in llc_requests:
-                self._issue_llc_prefetch(request, t, trigger_block=block,
-                                         page_size_bit=page_size_bit)
+            if llc_module is not None:
+                for request in llc_requests:
+                    self._issue_llc_prefetch(request, t, block,
+                                             page_size_bit)
         return ready
 
     # ------------------------------------------------------------------
     # Fills and writebacks
     # ------------------------------------------------------------------
-    def _fill_l1(self, block: int, dirty: bool) -> None:
-        evicted = self.l1d.fill(block, dirty=dirty)
-        if self.observer is not None:
-            self.observer.on_fill("l1d", block, dirty, False, -1,
-                                  None if evicted is None else evicted[0])
-        if evicted is not None and evicted[1].dirty:
-            self._writeback_to_l2(evicted[0])
-
     def _writeback_to_l2(self, block: int) -> None:
         if self.l2c.contains(block):
             if self.observer is not None:
@@ -289,7 +372,8 @@ class MemoryHierarchy:
             if self.observer is not None:
                 self.observer.on_fill("l2c", block, True, False, -1,
                                       None if evicted is None else evicted[0])
-            self._handle_l2_eviction(evicted)
+            if evicted is not None:
+                self._l2_evicted(*evicted)
 
     def _fill_l2(self, block: int, prefetch: bool = False,
                  issuer: int = -1) -> None:
@@ -297,12 +381,10 @@ class MemoryHierarchy:
         if self.observer is not None:
             self.observer.on_fill("l2c", block, False, prefetch, issuer,
                                   None if evicted is None else evicted[0])
-        self._handle_l2_eviction(evicted)
+        if evicted is not None:
+            self._l2_evicted(*evicted)
 
-    def _handle_l2_eviction(self, evicted) -> None:
-        if evicted is None:
-            return
-        victim_block, victim_line = evicted
+    def _l2_evicted(self, victim_block: int, victim_line: CacheLine) -> None:
         if victim_line.prefetch:
             # Prefetched but never demanded: negative feedback (PPF).
             self.l2_module.on_evicted_unused(victim_block, victim_line.issuer)
@@ -383,68 +465,129 @@ class MemoryHierarchy:
                     f"{trigger:#x} disagrees with pool geometry "
                     f"(true size {true_ps})")
 
-    def _issue_l2_prefetch(self, request: PrefetchRequest, now: float,
-                           trigger_block: Optional[int] = None,
-                           page_size_bit: Optional[int] = None) -> None:
-        block = request.block
-        if self._check and trigger_block is not None:
-            self._check_prefetch_bounds(block, trigger_block, page_size_bit,
-                                        "L2C")
+    def _issue_l2_prefetches(self, requests: List[PrefetchRequest],
+                             now: float, trigger: int,
+                             page_size_bit: Optional[int]) -> None:
+        """Issue the L2C prefetcher's requests for one demand access."""
         obs = self.observer
-        if obs is not None:
-            obs.on_prefetch_request("l2c", block, request.fill_l2,
-                                    request.issuer, trigger_block,
-                                    page_size_bit)
-        if self.l2c.contains(block) or self.l2c.inflight_contains(block, now):
-            self.pf_redundant += 1
+        check = self._check
+        l2c = self.l2c
+        llc = self.llc
+        l2_sets = l2c._sets
+        l2_mask = l2c._set_mask
+        l2_inflight = l2c.mshr._entries
+        l2_pq = l2c.pf_mshr
+        l2_queued = l2_pq._entries
+        l2_pq_capacity = l2_pq.capacity
+        llc_sets = llc._sets
+        llc_mask = llc._set_mask
+        llc_pq = llc.pf_mshr
+        llc_ready = now + l2c.latency + llc.latency
+        redundant = dropped = issued_l2 = issued_llc = 0
+        for request in requests:
+            block = request.block
+            if check:
+                self._check_prefetch_bounds(block, trigger, page_size_bit,
+                                            "L2C")
             if obs is not None:
-                obs.on_prefetch_outcome(block, "redundant-l2c", False)
-            return
-        if request.fill_l2 and self.l2c.pf_mshr.is_full(now):
-            # Prefetch queue full: shed the request (ChampSim drops too).
-            self.pf_dropped_mshr += 1
-            if obs is not None:
-                obs.on_prefetch_outcome(block, "dropped-l2pq", False)
-            return
-        # Locate the data.  The lookup touches LLC LRU on a hit, so the
-        # observer must learn about it *before* any fill events follow.
-        llc_line = self.llc.lookup(block)
-        if obs is not None:
-            obs.on_prefetch_llc_probe(block, llc_line is not None)
-        if llc_line is not None:
-            ready = now + self.l2c.latency + self.llc.latency
-        else:
-            inflight = self.llc.inflight_lookup(block, now)
-            if inflight is not None:
-                ready = inflight[0]
-            else:
-                if self.llc.pf_mshr.is_full(now):
-                    self.pf_dropped_mshr += 1
-                    if obs is not None:
-                        obs.on_prefetch_outcome(block, "dropped-llcpq", False)
-                    return
-                ready = self.dram.access(
-                    block, now + self.l2c.latency + self.llc.latency)
-                self.llc.pf_mshr.insert(block, ready)
-                self._fill_llc(block, prefetch=not request.fill_l2,
-                               issuer=request.issuer)
-        llc_hit = llc_line is not None
-        if request.fill_l2:
-            self.l2c.pf_mshr.insert(block, ready)
-            self._fill_l2(block, prefetch=True, issuer=request.issuer)
-            self.pf_issued_l2 += 1
-            if obs is not None:
-                obs.on_prefetch_outcome(block, "issued-l2", llc_hit)
-        else:
+                obs.on_prefetch_request("l2c", block, request.fill_l2,
+                                        request.issuer, trigger,
+                                        page_size_bit)
+            # Resident or in flight (``l2c.inflight_contains`` inlined:
+            # completed fills retire lazily) makes the request redundant.
+            s2 = block & l2_mask
+            l2_set = l2_sets[s2]
+            present = block in l2_set
+            if not present:
+                entry = l2_inflight.get(block)
+                if entry is not None and entry[0] <= now:
+                    del l2_inflight[block]
+                    entry = None
+                if entry is None:
+                    entry = l2_queued.get(block)
+                    if entry is not None and entry[0] <= now:
+                        del l2_queued[block]
+                        entry = None
+                present = entry is not None
+            if present:
+                redundant += 1
+                if obs is not None:
+                    obs.on_prefetch_outcome(block, "redundant-l2c", False)
+                continue
+            fill_l2 = request.fill_l2
+            # ``is_full`` only when at capacity; a future ``_floor``
+            # means nothing can retire yet.
+            if (fill_l2 and len(l2_queued) >= l2_pq_capacity
+                    and (l2_pq._floor > now or l2_pq.is_full(now))):
+                # Prefetch queue full: shed the request (ChampSim drops too).
+                dropped += 1
+                if obs is not None:
+                    obs.on_prefetch_outcome(block, "dropped-l2pq", False)
+                continue
+            # Locate the data.  The LLC probe touches LRU on a hit, so the
+            # observer must learn about it *before* any fill events follow.
+            s3 = block & llc_mask
+            llc_set = llc_sets[s3]
+            llc_hit = block in llc_set
             if llc_hit:
+                policy = llc._policies[s3]
+                policy._clock += 1
+                policy._stamps[block] = policy._clock
+            if obs is not None:
+                obs.on_prefetch_llc_probe(block, llc_hit)
+            if llc_hit:
+                ready = llc_ready
+            else:
+                pending = llc.inflight_lookup(block, now)
+                if pending is not None:
+                    ready = pending[0]
+                else:
+                    if (len(llc_pq._entries) >= llc_pq.capacity
+                            and (llc_pq._floor > now
+                                 or llc_pq.is_full(now))):
+                        dropped += 1
+                        if obs is not None:
+                            obs.on_prefetch_outcome(block, "dropped-llcpq",
+                                                    False)
+                        continue
+                    ready = self.dram.access(block, llc_ready)
+                    llc_pq.insert(block, ready)
+                    # Fill the LLC (the probe missed, so no merge).
+                    victim, victim_line = llc._place(
+                        llc_set, s3, block,
+                        CacheLine(False, not fill_l2, request.issuer))
+                    if obs is not None:
+                        obs.on_fill("llc", block, False, not fill_l2,
+                                    request.issuer, victim)
+                    if victim is not None and victim_line.dirty:
+                        self.dram.access(victim, 0.0, is_write=True)
+            if fill_l2:
+                l2_pq.insert(block, ready)
+                # Fill the L2C (not resident: the request was not
+                # redundant).
+                victim, victim_line = l2c._place(
+                    l2_set, s2, block, CacheLine(False, True, request.issuer))
+                if obs is not None:
+                    obs.on_fill("l2c", block, False, True, request.issuer,
+                                victim)
+                if victim is not None:
+                    self._l2_evicted(victim, victim_line)
+                issued_l2 += 1
+                if obs is not None:
+                    obs.on_prefetch_outcome(block, "issued-l2", llc_hit)
+            elif llc_hit:
                 # Already in LLC: the prefetch is a no-op there.
-                self.pf_redundant += 1
+                redundant += 1
                 if obs is not None:
                     obs.on_prefetch_outcome(block, "redundant-llc", True)
             else:
-                self.pf_issued_llc += 1
+                issued_llc += 1
                 if obs is not None:
                     obs.on_prefetch_outcome(block, "issued-llc", False)
+        self.pf_redundant += redundant
+        self.pf_dropped_mshr += dropped
+        self.pf_issued_l2 += issued_l2
+        self.pf_issued_llc += issued_llc
 
     def _issue_llc_prefetch(self, request: PrefetchRequest, now: float,
                             trigger_block: Optional[int] = None,

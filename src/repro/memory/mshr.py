@@ -105,26 +105,28 @@ class MSHR:
 
     def insert(self, block: int, ready: float, page_size: int = 0) -> None:
         """Allocate an entry; caller must have ensured capacity."""
+        entries = self._entries
         if self._check:
             # Callers must probe lookup()/contains() (which retire stale
             # entries) before allocating: a still-present entry for the
             # same block means two concurrent fills for one block.
-            existing = self._entries.get(block)
+            existing = entries.get(block)
             if existing is not None and existing[0] > ready:
                 invariants.violated(
                     f"{self.name}: duplicate in-flight entry for block "
                     f"{block:#x} (live until {existing[0]}, new fill at "
                     f"{ready})")
-        self._expire(ready)
-        if len(self._entries) >= self.capacity:
-            raise RuntimeError(f"{self.name}: insert into full MSHR")
-        self._entries[block] = (ready, page_size)
+        if len(entries) >= self.capacity:
+            self._expire(ready)
+            if len(entries) >= self.capacity:
+                raise RuntimeError(f"{self.name}: insert into full MSHR")
+        entries[block] = (ready, page_size)
         self.inserts += 1
         if ready < self._floor:
             self._floor = ready
-        if self._check and len(self._entries) > self.capacity:
+        if self._check and len(entries) > self.capacity:
             invariants.violated(
-                f"{self.name}: {len(self._entries)} entries exceed "
+                f"{self.name}: {len(entries)} entries exceed "
                 f"capacity {self.capacity}")
 
     def page_size_of(self, block: int) -> Optional[int]:

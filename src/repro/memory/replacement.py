@@ -1,17 +1,13 @@
-"""Replacement policies for set-associative structures.
+"""LRU replacement state for one set of a set-associative structure.
 
-The paper's configuration uses LRU at every cache level, so LRU is the
-default everywhere; the policy interface exists so tests and ablations can
-swap in alternatives (random, FIFO) without touching the cache code.
-
-A policy instance manages a single set.  The cache stores one policy object
-per set and calls ``on_hit`` / ``on_fill`` / ``victim``.
+The paper's configuration uses LRU at every cache level.  The cache keeps
+one policy object per set; the hierarchy's demand path stamps hits on it
+directly.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable
 
 
 class LRUPolicy:
@@ -49,126 +45,3 @@ class LRUPolicy:
     def load_state_dict(self, state: dict) -> None:
         self._stamps = dict(state["stamps"])
         self._clock = state["clock"]
-
-
-class FIFOPolicy(LRUPolicy):
-    """First-in-first-out: like LRU but hits do not refresh recency."""
-
-    __slots__ = ()
-
-    def on_hit(self, tag: Hashable) -> None:  # noqa: D102 - intentional no-op
-        pass
-
-
-class RandomPolicy:
-    """Uniform random victim selection (deterministic via seed)."""
-
-    __slots__ = ("_tags", "_rng")
-
-    def __init__(self, seed: int = 0) -> None:
-        self._tags: List[Hashable] = []
-        self._rng = random.Random(seed)
-
-    def on_hit(self, tag: Hashable) -> None:
-        pass
-
-    def on_fill(self, tag: Hashable) -> None:
-        self._tags.append(tag)
-
-    def on_evict(self, tag: Hashable) -> None:
-        self._tags.remove(tag)
-
-    def victim(self) -> Hashable:
-        return self._rng.choice(self._tags)
-
-    def state_dict(self) -> dict:
-        return {"tags": list(self._tags), "rng": self._rng.getstate()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._tags = list(state["tags"])
-        rng_state = state["rng"]
-        # JSON-ish round trips turn the getstate() tuples into lists.
-        self._rng.setstate((rng_state[0], tuple(rng_state[1]), rng_state[2]))
-
-
-class SRRIPPolicy:
-    """Static Re-Reference Interval Prediction (Jaleel et al., ISCA 2010).
-
-    Each line carries a 2-bit re-reference prediction value (RRPV): long
-    re-reference on insertion (RRPV = max-1), near-immediate on hit
-    (RRPV = 0).  The victim is any line with RRPV = max; if none exists,
-    all RRPVs age until one does.  Scan-resistant, widely used at L2/LLC.
-    """
-
-    __slots__ = ("_rrpv", "max_rrpv")
-
-    def __init__(self, rrpv_bits: int = 2) -> None:
-        self.max_rrpv = (1 << rrpv_bits) - 1
-        self._rrpv: Dict[Hashable, int] = {}
-
-    def on_hit(self, tag: Hashable) -> None:
-        self._rrpv[tag] = 0
-
-    def on_fill(self, tag: Hashable) -> None:
-        self._rrpv[tag] = self.max_rrpv - 1
-
-    def on_evict(self, tag: Hashable) -> None:
-        self._rrpv.pop(tag, None)
-
-    def victim(self) -> Hashable:
-        while True:
-            for tag, rrpv in self._rrpv.items():
-                if rrpv >= self.max_rrpv:
-                    return tag
-            for tag in self._rrpv:
-                self._rrpv[tag] += 1
-
-    def state_dict(self) -> dict:
-        # The victim scan walks insertion order, so the RRPV map must
-        # round-trip ordered.
-        return {"rrpv": dict(self._rrpv)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rrpv = dict(state["rrpv"])
-
-
-class BRRIPPolicy(SRRIPPolicy):
-    """Bimodal RRIP: inserts at max RRPV most of the time (thrash
-    protection), occasionally at max-1.  DRRIP's second component."""
-
-    __slots__ = ("_counter",)
-
-    LONG_INSERT_PERIOD = 32   # 1 in 32 insertions gets the SRRIP treatment
-
-    def __init__(self, rrpv_bits: int = 2) -> None:
-        super().__init__(rrpv_bits)
-        self._counter = 0
-
-    def on_fill(self, tag: Hashable) -> None:
-        self._counter = (self._counter + 1) % self.LONG_INSERT_PERIOD
-        if self._counter == 0:
-            self._rrpv[tag] = self.max_rrpv - 1
-        else:
-            self._rrpv[tag] = self.max_rrpv
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["counter"] = self._counter
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self._counter = state["counter"]
-
-
-POLICIES = {"lru": LRUPolicy, "fifo": FIFOPolicy, "random": RandomPolicy,
-            "srrip": SRRIPPolicy, "brrip": BRRIPPolicy}
-
-
-def make_policy(name: str):
-    """Instantiate a replacement policy by name ('lru', 'fifo', 'random')."""
-    try:
-        return POLICIES[name]()
-    except KeyError:
-        raise ValueError(f"unknown replacement policy {name!r}; "
-                         f"choose from {sorted(POLICIES)}") from None

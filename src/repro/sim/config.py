@@ -79,6 +79,10 @@ class DRAMConfig:
         return 64.0 * cycles_per_usec / bytes_per_usec
 
 
+#: Set-Dueling selection policies (``DuelingConfig.policy``).
+DUELING_POLICIES = ("proposed", "standard", "page-size")
+
+
 @dataclass
 class DuelingConfig:
     """Set-Dueling selector parameters (Section IV-B of the paper)."""
@@ -135,6 +139,10 @@ class SystemConfig:
             cache.validate()
         if self.dueling.leader_sets * 2 > self.l2c.sets:
             raise ValueError("leader sets exceed L2C set count")
+        if self.dueling.policy not in DUELING_POLICIES:
+            raise ValueError(f"dueling.policy must be one of "
+                             f"{DUELING_POLICIES}, got "
+                             f"{self.dueling.policy!r}")
 
     def scaled_llc(self, size_bytes: int) -> "SystemConfig":
         """Return a copy with a different LLC capacity (Fig. 12B sweep)."""

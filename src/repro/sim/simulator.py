@@ -157,12 +157,8 @@ def simulate_trace(trace: Trace, config: Optional[SystemConfig] = None,
             if kill_armed:
                 faults.access_checkpoint(index)
 
-    # ``every`` doubles as the kernel's consistency barrier: snapshots
-    # fire only at these indices, so the vectorized kernel may batch
-    # state between them and flush exactly at each barrier.
     result = core.run(trace, warmup_records=warmup,
-                      start_index=start_index, on_record=on_record,
-                      barrier_every=every)
+                      start_index=start_index, on_record=on_record)
     metrics = collect_metrics(trace.name, prefetcher, variant, hierarchy,
                               result, module)
     if snapshotting:

@@ -537,6 +537,16 @@ class OracleObserver:
                 victim_set.pop(victim, None)
         if level == "l1d" and prefetch:
             self.l1_pf_issued += 1
+        elif level == "l1d" and self._pending is not None:
+            # A demand fill follows the miss's L1D MSHR allocation: PPM
+            # must have written the access's page-size bit into it.
+            expected = (self._pending["page_size"]
+                        if self.hierarchy.ppm.enabled else 0)
+            bit = self.hierarchy.l1d.mshr.page_size_of(block)
+            if bit != expected:
+                self._diverge(
+                    f"L1D MSHR entry of block {block:#x} carries page-size "
+                    f"bit {bit!r}, PPM should have written {expected!r}")
 
     def on_mark_dirty(self, level: str, block: int) -> None:
         self.report.events += 1

@@ -25,11 +25,6 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Tuple
 
-try:
-    import numpy as _np
-except ImportError:                            # pragma: no cover
-    _np = None
-
 from repro.verify import invariants
 from repro.memory.address import (
     BLOCK_BITS,
@@ -42,9 +37,6 @@ from repro.memory.address import (
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
     PAGE_SIZE_4K,
-    page_numbers,
-    page2m_numbers,
-    page1g_numbers,
 )
 
 # Physical frame-number (4KB units) layout; regions are disjoint by
@@ -140,8 +132,6 @@ class PhysicalMemoryAllocator:
     # THP policy
     # ------------------------------------------------------------------
     def _decide_gb(self, v1g: int) -> bool:
-        if not self.gb_fraction:
-            return False
         decision = self._gb_decision.get(v1g)
         if decision is None:
             h = (v1g * 2246822519 + self.seed * 131) & 0xFFFFFFFF
@@ -167,8 +157,9 @@ class PhysicalMemoryAllocator:
         ``PAGE_SIZE_2M`` when the containing 2MB-aligned virtual region was
         promoted by the THP policy, else ``PAGE_SIZE_4K``.
         """
+        # The decision memos are probed inline: this runs once per access.
         v1g = vaddr >> PAGE_1G_BITS
-        if self._decide_gb(v1g):
+        if self.gb_fraction and self._decide_gb(v1g):
             frame = self._map_1g.get(v1g)
             if frame is None:
                 frame = self._pool_1g_base + self._next_1g
@@ -183,7 +174,10 @@ class PhysicalMemoryAllocator:
             paddr = (frame << PAGE_1G_BITS) | (vaddr & (PAGE_1G_SIZE - 1))
             return paddr, PAGE_SIZE_1G
         v2m = vaddr >> PAGE_2M_BITS
-        if self._decide_huge(v2m):
+        huge = self._huge_decision.get(v2m)
+        if huge is None:
+            huge = self._decide_huge(v2m)
+        if huge:
             frame = self._map_2m.get(v2m)
             if frame is None:
                 frame = self._pool_2m_base + self._next_2m
@@ -214,94 +208,6 @@ class PhysicalMemoryAllocator:
     def page_size(self, vaddr: int) -> int:
         """Ground-truth page size of a virtual address (allocating if new)."""
         return self.translate(vaddr)[1]
-
-    # ------------------------------------------------------------------
-    # Columnar translation (hot-path kernel)
-    # ------------------------------------------------------------------
-    def prepare_chunk(self, vaddrs) -> Tuple[list, list, list, list]:
-        """Translate one chunk of accesses up front.
-
-        ``vaddrs`` is a ``uint64`` numpy array of virtual byte addresses
-        in access order.  Returns four plain lists aligned with it:
-        ``(paddrs, page_sizes, native_pages, blocks)`` where
-        ``native_pages`` is the page number at each address's native
-        granularity (the TLB key page).
-
-        Equivalence contract: after this call the allocator state is
-        *bitwise identical* (including dict insertion order, which pickle
-        serializes) to what ``translate()`` called once per access would
-        have produced, because
-
-        - the THP/1GB decisions are pure hashes of the region number, so
-          the vectorized classification below always agrees with the
-          memoised scalar decisions; and
-        - ``translate()`` only mutates on the *first touch* of a page,
-          and the first query of a region's decision happens at the first
-          access to that region, which is always also a page first touch
-          — so replaying ``translate()`` for exactly the unmapped-page
-          accesses, in access order, performs every mutation the scalar
-          path would, in the same order.
-        """
-        if _np is None:
-            raise RuntimeError("numpy is required for prepare_chunk")
-        v4k = page_numbers(vaddrs)
-        v2m = page2m_numbers(vaddrs)
-        v1g = page1g_numbers(vaddrs)
-        # Vectorized THP policy: identical arithmetic to _decide_huge /
-        # _decide_gb.  uint64 wraparound is harmless under the final
-        # 32-bit mask because 2**32 divides 2**64.
-        h2 = (v2m * _np.uint64(2654435761)
-              + _np.uint64(self.seed * 97)) & _np.uint64(0xFFFFFFFF)
-        huge = (h2 % _np.uint64(10_000)) < int(self.thp_fraction * 10_000)
-        if self.gb_fraction:
-            h1 = (v1g * _np.uint64(2246822519)
-                  + _np.uint64(self.seed * 131)) & _np.uint64(0xFFFFFFFF)
-            gb = (h1 % _np.uint64(10_000)) < int(self.gb_fraction * 10_000)
-            sizes = _np.where(
-                gb, _np.uint8(PAGE_SIZE_1G),
-                _np.where(huge, _np.uint8(PAGE_SIZE_2M),
-                          _np.uint8(PAGE_SIZE_4K)))
-            natives = _np.where(gb, v1g, _np.where(huge, v2m, v4k))
-        else:
-            sizes = _np.where(huge, _np.uint8(PAGE_SIZE_2M),
-                              _np.uint8(PAGE_SIZE_4K))
-            natives = _np.where(huge, v2m, v4k)
-        # Scalar replay of first touches (allocation mutates state and
-        # must happen in exact access order); mapped pages take the pure
-        # dict-read fast path.
-        va_l = vaddrs.tolist()
-        ps_l = sizes.tolist()
-        nat_l = natives.tolist()
-        n = len(va_l)
-        paddr_l = [0] * n
-        block_l = [0] * n
-        m4, m2, m1 = self._map_4k, self._map_2m, self._map_1g
-        translate = self.translate
-        for i in range(n):
-            va = va_l[i]
-            size = ps_l[i]
-            page = nat_l[i]
-            if size == PAGE_SIZE_4K:
-                frame = m4.get(page)
-                if frame is None:
-                    translate(va)
-                    frame = m4[page]
-                pa = (frame << PAGE_4K_BITS) | (va & (PAGE_4K_SIZE - 1))
-            elif size == PAGE_SIZE_2M:
-                frame = m2.get(page)
-                if frame is None:
-                    translate(va)
-                    frame = m2[page]
-                pa = (frame << PAGE_2M_BITS) | (va & (PAGE_2M_SIZE - 1))
-            else:
-                frame = m1.get(page)
-                if frame is None:
-                    translate(va)
-                    frame = m1[page]
-                pa = (frame << PAGE_1G_BITS) | (va & (PAGE_1G_SIZE - 1))
-            paddr_l[i] = pa
-            block_l[i] = pa >> BLOCK_BITS
-        return paddr_l, ps_l, nat_l, block_l
 
     def physical_window_of_block(self, block: int):
         """Ground truth for a *physical* cache block: its page's block span.

@@ -17,9 +17,10 @@ carry the THP fraction their workload expects, which seeds the allocator.
 
 Columnar view
 -------------
-The vectorized kernel (``repro.sim.kernel``) consumes a trace as packed
+Trace I/O (``repro.workloads.io``) reads and writes a trace as packed
 numpy arrays rather than tuple-by-tuple: ``addresses`` (vaddr), ``pc``
-(ip), ``is_write``, ``bubbles`` and ``depends``.  The arrays are built
+(ip), ``is_write``, ``bubbles`` and ``depends``; the simulator itself
+walks the record tuples.  The arrays are built
 lazily from the record list on first use and cached; any mutation of the
 record list (append, item assignment, slicing, reassigning ``records``)
 invalidates the cache, so the two views can never disagree.  The record

@@ -1,13 +1,6 @@
-"""Tests for repro.memory.replacement — per-set replacement policies."""
+"""Tests for repro.memory.replacement — per-set LRU state."""
 
-import pytest
-
-from repro.memory.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.memory.replacement import LRUPolicy
 
 
 class TestLRU:
@@ -43,118 +36,3 @@ class TestLRU:
         lru.on_fill("b")
         lru.on_fill("a")
         assert lru.victim() == "b"
-
-
-class TestFIFO:
-    def test_hit_does_not_refresh(self):
-        fifo = FIFOPolicy()
-        for tag in ("a", "b", "c"):
-            fifo.on_fill(tag)
-        fifo.on_hit("a")
-        assert fifo.victim() == "a"
-
-    def test_fill_order_respected(self):
-        fifo = FIFOPolicy()
-        fifo.on_fill("x")
-        fifo.on_fill("y")
-        assert fifo.victim() == "x"
-
-
-class TestRandom:
-    def test_victim_is_resident(self):
-        rnd = RandomPolicy(seed=1)
-        for tag in range(8):
-            rnd.on_fill(tag)
-        for _ in range(20):
-            assert rnd.victim() in range(8)
-
-    def test_deterministic_for_seed(self):
-        a = RandomPolicy(seed=5)
-        b = RandomPolicy(seed=5)
-        for tag in range(8):
-            a.on_fill(tag)
-            b.on_fill(tag)
-        assert [a.victim() for _ in range(10)] == [b.victim() for _ in range(10)]
-
-    def test_evict_removes(self):
-        rnd = RandomPolicy(seed=2)
-        rnd.on_fill("a")
-        rnd.on_fill("b")
-        rnd.on_evict("a")
-        assert rnd.victim() == "b"
-
-
-class TestFactory:
-    def test_known_policies(self):
-        assert isinstance(make_policy("lru"), LRUPolicy)
-        assert isinstance(make_policy("fifo"), FIFOPolicy)
-        assert isinstance(make_policy("random"), RandomPolicy)
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            make_policy("plru")
-
-
-class TestSRRIP:
-    def test_victim_prefers_distant_rrpv(self):
-        from repro.memory.replacement import SRRIPPolicy
-        srrip = SRRIPPolicy()
-        srrip.on_fill("a")
-        srrip.on_fill("b")
-        srrip.on_hit("a")          # a -> RRPV 0
-        assert srrip.victim() == "b"
-
-    def test_aging_until_victim_found(self):
-        from repro.memory.replacement import SRRIPPolicy
-        srrip = SRRIPPolicy()
-        for tag in ("a", "b", "c"):
-            srrip.on_fill(tag)
-            srrip.on_hit(tag)      # everyone at RRPV 0
-        victim = srrip.victim()    # aging loop must still terminate
-        assert victim in ("a", "b", "c")
-
-    def test_evict_removes(self):
-        from repro.memory.replacement import SRRIPPolicy
-        srrip = SRRIPPolicy()
-        srrip.on_fill("a")
-        srrip.on_fill("b")
-        srrip.on_evict("a")
-        assert srrip.victim() == "b"
-
-    def test_scan_resistance(self):
-        """A one-shot scan must not displace the re-referenced working set."""
-        from repro.memory.replacement import SRRIPPolicy
-        srrip = SRRIPPolicy()
-        for tag in ("hot1", "hot2"):
-            srrip.on_fill(tag)
-            srrip.on_hit(tag)
-        srrip.on_fill("scan")
-        assert srrip.victim() == "scan"
-
-
-class TestBRRIP:
-    def test_most_inserts_at_max(self):
-        from repro.memory.replacement import BRRIPPolicy
-        brrip = BRRIPPolicy()
-        brrip.on_fill("x")
-        assert brrip._rrpv["x"] == brrip.max_rrpv
-
-    def test_periodic_long_insert(self):
-        from repro.memory.replacement import BRRIPPolicy
-        brrip = BRRIPPolicy()
-        values = []
-        for i in range(BRRIPPolicy.LONG_INSERT_PERIOD + 1):
-            brrip.on_fill(i)
-            values.append(brrip._rrpv[i])
-        assert brrip.max_rrpv - 1 in values
-
-
-class TestCacheWithRRIP:
-    def test_cache_runs_with_srrip(self):
-        from repro.memory.cache import Cache
-        from repro.sim.config import CacheConfig
-        cache = Cache(CacheConfig("T", 4 * 2 * 64, 2, 1, 4),
-                      replacement="srrip")
-        for block in range(32):
-            cache.fill(block)
-        assert cache.occupancy() <= 8

@@ -30,11 +30,12 @@ POOLS = {
     "table_scale": ([1, 1.0, 0.5, 2], [0, -1.0, NAN, INF, True, "1"]),
     "gb_fraction": ([0, 0.0, 0.25, 1], [-0.1, 1.5, 2, NAN, INF, False]),
     "config": ([{}, {"llc.size_bytes": 1 << 20}, {"ppm_enabled": False},
-                {"dram.transfer_rate_mts": 1600}],
+                {"dram.transfer_rate_mts": 1600},
+                {"dueling.policy": "standard"}],
                [{"llc.size_bytes": 12345}, {"llc.size_bytes": "big"},
                 {"llc.ways": 0}, {"warp_factor": 9}, {"llc": 1},
                 {"llc.sets": 4}, {"describe": 1},
-                {"ppm_enabled": 1}]),
+                {"ppm_enabled": 1}, {"dueling.policy": "bogus"}]),
 }
 OPTIONAL = [name for name in POOLS if name != "workload"]
 

@@ -1,8 +1,8 @@
 """Property-based tests of the columnar trace view (hypothesis).
 
-The vectorized kernel consumes traces through ``Trace.columns()`` /
-the array properties instead of record tuples, so the two views must be
-interchangeable for *any* record list — including empty traces, mixed
+Trace I/O writes and reads traces through ``Trace.columns()`` / the
+array properties instead of record tuples (the simulator walks the
+tuples), so the two views must be interchangeable for *any* record list — including empty traces, mixed
 loads/stores, zero bubbles and dependence chains — and the cached
 arrays must never go stale when the record list is mutated.
 """
@@ -136,8 +136,7 @@ def test_from_arrays_round_trip(records):
 
 
 def test_overflowing_address_raises():
-    """Values the packed dtypes cannot hold must fail loudly, not wrap —
-    the kernel driver catches this and falls back to the scalar loop."""
+    """Values the packed dtypes cannot hold must fail loudly, not wrap."""
     trace = Trace(name="big",
                   records=[(0, 1 << 70, KIND_LOAD, 0, False)])
     with pytest.raises((OverflowError, ValueError)):
