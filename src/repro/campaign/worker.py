@@ -97,9 +97,7 @@ def try_claim(path: Path, worker: str) -> bool:
     try:
         iofaults.check("lease.write")
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    except OSError:
+    except OSError:             # FileExistsError: someone else holds it
         return False
     try:
         os.write(fd, payload.encode())
@@ -119,7 +117,7 @@ def lease_age_s(path: Path) -> Optional[float]:
     """Seconds since the lease was written, or None when absent."""
     try:
         iofaults.check("lease.read")
-        return max(0.0, time.time() - path.stat().st_mtime)
+        return disk_cache.age_s(path)
     except OSError:
         return None
 

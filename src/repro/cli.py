@@ -711,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_doc = sub.add_parser(
         "doctor",
         help="scan (and --repair) the whole durable state: cache, "
-             "snapshots, campaign store, leases")
+             "snapshots, campaign store, leases, cluster members")
     p_doc.add_argument("--repair", action="store_true",
                        help="heal what has a safe fix (quarantine "
                             "corrupt entries, sweep orphans, sync the "
@@ -723,9 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_doc.add_argument("--dir", default=None,
                        help="cache directory (default: REPRO_CACHE_DIR "
                             "or ~/.cache/repro)")
-    p_doc.add_argument("--lease-ttl", type=float, default=300.0,
+    p_doc.add_argument("--lease-ttl", type=float, default=None,
                        help="age in seconds past which a claim lease "
-                            "is stale (default 300)")
+                            "is stale (default: REPRO_LEASE_TTL or 300)")
     p_doc.add_argument("--tmp-age", type=float, default=60.0,
                        help="age in seconds past which a writer temp "
                             "file is an orphan (default 60)")

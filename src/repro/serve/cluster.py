@@ -12,9 +12,10 @@ result identically**.  What is left to coordinate is tiny:
   same crash-consistent temp-fsync-rename publish as every other
   durable file (``iofaults.publish_bytes``, layer ``member`` — so the
   registry is wreckable by ``REPRO_IO_FAULTS`` and healable by
-  ``repro doctor``).  Staleness is judged by file mtime against
-  ``REPRO_MEMBER_TTL`` exactly like campaign worker leases; any
-  replica (or the doctor) reaps records whose owner stopped renewing.
+  ``repro doctor``).  Staleness is judged by file mtime age
+  (``repro.sim.cache.age_s``) against ``REPRO_MEMBER_TTL`` exactly like
+  campaign worker leases; any replica (or the doctor) reaps records
+  whose owner stopped renewing.
 * **Placement** — :class:`ClusterClient` ranks replicas per run key
   with rendezvous (highest-random-weight) hashing, so every client
   sends the same key to the same replica while it is alive — in-flight
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import zlib
 from dataclasses import dataclass
@@ -118,19 +118,8 @@ def heartbeat(record: MemberRecord) -> None:
     mid-heartbeat leaves the previous valid record (or a sweepable
     temp file), never a torn one.
     """
-    path = record.path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
     data = json.dumps(record.to_payload(), sort_keys=True).encode()
-    try:
-        iofaults.publish_bytes("member", path, data, tmp)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    iofaults.publish_bytes("member", record.path, data)
 
 
 def deregister(record: MemberRecord) -> None:
@@ -141,17 +130,17 @@ def deregister(record: MemberRecord) -> None:
         pass
 
 
-def _load_record(path: Path, ttl_s: float) -> Optional[MemberRecord]:
-    try:
-        age_s = time.time() - path.stat().st_mtime
-        data = json.loads(path.read_bytes().decode())
-        return MemberRecord(
-            member_id=str(data["member_id"]), host=str(data["host"]),
-            port=int(data["port"]), pid=int(data.get("pid", 0)),
-            started_at=float(data.get("started_at", 0.0)),
-            age_s=age_s, stale=age_s > ttl_s)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None                  # torn/corrupt: doctor's to repair
+def _load_record(path: Path, ttl_s: float) -> MemberRecord:
+    """The one member-record parser: ``OSError`` when the record is
+    gone; ``ValueError``/``KeyError``/``TypeError`` when it is torn or
+    mis-shaped (the doctor reports it corrupt and unlinks it)."""
+    age_s = disk_cache.age_s(path)
+    data = json.loads(path.read_bytes().decode())
+    return MemberRecord(
+        member_id=str(data["member_id"]), host=str(data["host"]),
+        port=int(data["port"]), pid=int(data.get("pid", 0)),
+        started_at=float(data.get("started_at", 0.0)),
+        age_s=age_s, stale=age_s > ttl_s)
 
 
 def load_members(include_stale: bool = False,
@@ -160,12 +149,12 @@ def load_members(include_stale: bool = False,
     skipped here and repaired by ``repro doctor``."""
     ttl = ttl_s if ttl_s is not None else member_ttl()
     records = []
-    root = members_dir()
-    if not root.is_dir():
-        return records
-    for path in sorted(root.glob("*.json")):
-        record = _load_record(path, ttl)
-        if record is not None and (include_stale or not record.stale):
+    for path in sorted(members_dir().glob("*.json")):
+        try:
+            record = _load_record(path, ttl)
+        except (OSError, ValueError, KeyError, TypeError):
+            continue
+        if include_stale or not record.stale:
             records.append(record)
     records.sort(key=lambda r: (r.age_s, r.member_id))
     return records

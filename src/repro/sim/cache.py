@@ -1,4 +1,4 @@
-"""Persistent on-disk result cache for finished simulation runs.
+"""Persistent on-disk result cache, and the durable-file core under it.
 
 The figure benchmarks regenerate overlapping (workload, prefetcher,
 variant, config) runs across *pytest sessions*, not just within one; the
@@ -15,9 +15,9 @@ Each entry is a standalone JSON document carrying the serialization
 ``version``, the code-version ``salt`` and the full ``key`` repr (for
 auditability) plus the ``metrics`` payload.  Guarantees:
 
-- **Atomic writes**: entries are written to a temp file in the same
-  directory and ``os.replace``d into place, so concurrent writers (parallel
-  workers, parallel pytest sessions) can never expose a torn entry.
+- **Atomic writes**: entries are published with
+  ``iofaults.publish_bytes`` (temp file, fsync, ``os.replace``), so
+  concurrent writers can never expose a torn entry.
 - **Corruption tolerance**: any unreadable/undecodable/mis-shaped entry is
   treated as a miss and quarantined to ``<cache>/quarantine/`` (never an
   exception, never a silent delete) so torn writes remain auditable;
@@ -25,6 +25,12 @@ auditability) plus the ``metrics`` payload.  Guarantees:
   corrupt and version-stale entries in bulk (``repro cache verify``).
 - **Versioned invalidation**: the key is salted with ``CACHE_VERSION`` and
   ``CODE_VERSION``; bumping either orphans every old entry.
+
+The durable-file core every layer shares lives here too: the mtime-age
+helper (:func:`age_s`), the content-addressed :class:`ObjectStore` (the
+run cache and the snapshot store are two instances), and the one
+classify-and-repair loop (:func:`scan`) that ``repro cache verify`` and
+every file layer of ``repro doctor`` run.
 """
 
 from __future__ import annotations
@@ -33,11 +39,10 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.prefetch.base import BoundaryStats
 from repro.sim import iofaults
@@ -50,6 +55,10 @@ CACHE_VERSION = 1
 #: Code-version salt: bump whenever simulation *semantics* change so that
 #: results produced by older code can never be returned for new runs.
 CODE_VERSION = "2026-08-05.3"
+
+#: A writer temp file older than this is an orphan from a crashed
+#: publish, not a live one, and is safe to sweep.
+TMP_ORPHAN_AGE_S = 60.0
 
 
 def cache_enabled() -> bool:
@@ -70,46 +79,237 @@ def _salt() -> str:
     return f"{CACHE_VERSION}:{CODE_VERSION}"
 
 
-def key_digest(key: tuple) -> str:
-    """Content address of one run key, salted by the cache/code version."""
-    return hashlib.sha256(repr((_salt(), key)).encode()).hexdigest()
+# ----------------------------------------------------------------------
+# The durable-file core
+# ----------------------------------------------------------------------
 
+def age_s(path: Path) -> float:
+    """Seconds since *path* was last written (never negative).
 
-def entry_path(key: tuple) -> Path:
-    digest = key_digest(key)
-    return cache_dir() / "objects" / digest[:2] / f"{digest[2:]}.json"
-
-
-def quarantine_dir() -> Path:
-    """Where unreadable/stale entries are moved instead of deleted."""
-    return cache_dir() / "quarantine"
-
-
-def _quarantine(path: Path) -> Optional[Path]:
-    """Move a bad entry into the quarantine directory.
-
-    Falls back to unlinking when the move itself fails (e.g. read-only
-    quarantine dir), so a bad entry can never keep poisoning lookups.
-    Returns the quarantined path, or None when the entry was unlinked.
+    Raises ``OSError`` when the file is gone.  Lease, member-record and
+    temp-file staleness are all judged by this one clock.
     """
-    try:
-        quarantine_dir().mkdir(parents=True, exist_ok=True)
-        dest = quarantine_dir() / path.name
-        serial = 0
-        while dest.exists():
-            # Never overwrite earlier quarantined evidence: probe
-            # pid-and-serial suffixes until a free name is found.
-            serial += 1
-            dest = (quarantine_dir()
-                    / f"{path.stem}.{os.getpid()}.{serial}{path.suffix}")
-        os.replace(path, dest)
+    return max(0.0, time.time() - path.stat().st_mtime)
+
+
+def aged(paths: Iterable[Path], min_age_s: float) -> List[Path]:
+    """The *paths* at least *min_age_s* old, in order (a younger writer
+    temp file may belong to a live publish, so it is no leak)."""
+    old = []
+    for path in paths:
+        try:
+            if age_s(path) >= min_age_s:
+                old.append(path)
+        except OSError:
+            continue
+    return old
+
+
+@dataclass(frozen=True, eq=False)
+class ObjectStore:
+    """A content-addressed directory of durable files.
+
+    Layout under ``root()``: ``objects/<2-hex fan-out>/<rest of the
+    digest><suffix>`` holds the entries and ``quarantine/`` holds bad
+    ones moved aside.  A key is addressed by the sha256 of
+    ``repr((salt(), key))``, so a salt bump orphans every old entry.
+    """
+
+    layer: str                  # REPRO_IO_FAULTS site prefix of publishes
+    root: Callable[[], Path]
+    suffix: str
+    salt: Callable[[], str]
+    counters: Optional[dict] = None     # its "quarantined" count is kept
+
+    def objects(self) -> Path:
+        return self.root() / "objects"
+
+    def quarantine_dir(self) -> Path:
+        """Where unreadable/stale entries are moved instead of deleted."""
+        return self.root() / "quarantine"
+
+    def digest(self, key: tuple) -> str:
+        """Content address of one key, salted by the store's version."""
+        return hashlib.sha256(repr((self.salt(), key)).encode()).hexdigest()
+
+    def path(self, key: tuple) -> Path:
+        digest = self.digest(key)
+        return self.objects() / digest[:2] / f"{digest[2:]}{self.suffix}"
+
+    def publish(self, key: tuple, data: bytes) -> bool:
+        """Crash-consistently write *key*'s entry; False when the
+        directory is unwritable (the caller carries on without it)."""
+        try:
+            iofaults.publish_bytes(self.layer, self.path(key), data)
+        except OSError:
+            return False
+        return True
+
+    def quarantine(self, path: Path) -> Optional[Path]:
+        """Move a bad entry into the quarantine directory.
+
+        Never overwrites earlier evidence (pid-and-serial suffixes are
+        probed until a name is free).  Falls back to unlinking when the
+        move itself fails (e.g. read-only quarantine dir), so a bad
+        entry can never keep poisoning readers.  Returns the
+        quarantined path, or None when the entry was unlinked.
+        """
+        held = self.quarantine_dir()
+        try:
+            held.mkdir(parents=True, exist_ok=True)
+            dest = held / path.name
+            serial = 0
+            while dest.exists():
+                serial += 1
+                dest = held / (f"{path.stem}.{os.getpid()}.{serial}"
+                               f"{path.suffix}")
+            os.replace(path, dest)
+        except OSError:
+            try:
+                path.unlink()
+            except OSError:
+                return None
+            dest = None
+        if self.counters is not None:
+            self.counters["quarantined"] += 1
         return dest
-    except OSError:
+
+    def entries(self) -> List[Path]:
+        return sorted(self.objects().glob(f"*/*{self.suffix}"))
+
+    def tmp_orphans(self, min_age_s: float) -> List[Path]:
+        """Temp files leaked by crashed publishes, in path order."""
+        return aged(sorted(self.objects().glob("*/*.tmp")), min_age_s)
+
+    def held(self) -> int:
+        """Number of files held in the quarantine directory."""
+        held = self.quarantine_dir()
+        if not held.is_dir():
+            return 0
+        return sum(1 for path in held.iterdir() if path.is_file())
+
+    def totals(self) -> Tuple[int, int]:
+        """(entries, total bytes) of every readable entry."""
+        entries = total_bytes = 0
+        for path in self.entries():
+            try:
+                total_bytes += path.stat().st_size
+                entries += 1
+            except OSError:
+                continue
+        return entries, total_bytes
+
+    def listing(self, describe: Callable[[Path, int], object]) -> list:
+        """``describe(path, size)`` of every entry, newest first;
+        entries it cannot read are skipped."""
+        stamped = []
+        for path in self.entries():
+            try:
+                stat_result = path.stat()
+                stamped.append((stat_result.st_mtime,
+                                describe(path, stat_result.st_size)))
+            except (OSError, ValueError, TypeError, AttributeError):
+                continue
+        stamped.sort(key=lambda pair: pair[0], reverse=True)
+        return [entry for _, entry in stamped]
+
+    def sweep(self, paths: Iterable[Path]) -> int:
+        """Unlink *paths*, then drop emptied fan-out directories;
+        returns the number unlinked."""
+        removed = 0
+        for path in paths:
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                continue
+        for sub in self.objects().glob("*"):
+            try:
+                sub.rmdir()
+            except OSError:
+                continue
+        return removed
+
+
+@dataclass
+class Finding:
+    """One problem a durable-layer scan surfaced (and possibly repaired)."""
+
+    layer: str          # cache | snapshot | store | lease | member
+    kind: str           # corrupt | stale | tmp-orphan | divergence | ...
+    path: str
+    detail: str = ""
+    repaired: bool = False
+    action: str = ""    # what the repair did (or would do)
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    def describe(self) -> str:
+        state = f"repaired: {self.action}" if self.repaired else (
+            f"repair: {self.action}" if self.action else "no repair")
+        detail = f" ({self.detail})" if self.detail else ""
+        return f"[{self.layer}/{self.kind}] {self.path}{detail} — {state}"
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One durable file layer as :func:`scan` sees it.
+
+    ``classify(path)`` returns ``(kind, detail)``, kind ``ok`` meaning
+    nothing to do.  Findings of the kinds in ``quarantine`` move into
+    ``store``'s quarantine (they are evidence); every other finding,
+    and every writer temp file ``orphans(min_age_s)`` lists, is
+    unlinked.
+    """
+
+    name: str
+    records: Callable[[], List[Path]]
+    classify: Callable[[Path], Tuple[str, str]]
+    orphans: Callable[[float], List[Path]]
+    store: Optional[ObjectStore] = None
+    quarantine: Tuple[str, ...] = ()
+
+
+def scan(layer: Layer, repair: bool,
+         tmp_age_s: float = TMP_ORPHAN_AGE_S) -> Tuple[int, List[Finding]]:
+    """Classify every record of *layer* and list its orphaned temp
+    files; with *repair*, fix each finding.  Returns (records scanned,
+    findings)."""
+    records = layer.records()
+    flagged = [(path, *layer.classify(path)) for path in records]
+    flagged += [(path, "tmp-orphan", "leaked by a crashed writer")
+                for path in layer.orphans(tmp_age_s)]
+    findings = []
+    for path, kind, detail in flagged:
+        if kind == "ok":
+            continue
+        store = layer.store if kind in layer.quarantine else None
+        finding = Finding(layer.name, kind, str(path), detail,
+                          action="quarantine" if store else "unlink")
+        findings.append(finding)
+        if not repair:
+            continue
+        if store is not None:
+            dest = store.quarantine(path)
+            finding.repaired = True
+            finding.action = (f"quarantined to {dest}" if dest
+                              else "unlinked (quarantine failed)")
+            continue
         try:
             path.unlink()
-        except OSError:
-            pass
-        return None
+            finding.repaired = True
+            finding.action = "unlinked"
+        except OSError as exc:
+            finding.detail = str(exc)
+    return len(records), findings
+
+
+#: The run cache's entries.
+STORE = ObjectStore("cache", cache_dir, ".json", _salt)
+key_digest = STORE.digest
+entry_path = STORE.path
+quarantine_dir = STORE.quarantine_dir
 
 
 # ----------------------------------------------------------------------
@@ -145,34 +345,13 @@ def store(key: tuple, metrics: RunMetrics) -> bool:
     """Atomically persist one finished run; returns False when disabled."""
     if not cache_enabled():
         return False
-    path = entry_path(key)
     payload = {
         "version": CACHE_VERSION,
         "salt": _salt(),
         "key": repr(key),
         "metrics": metrics_to_dict(metrics),
     }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        os.close(fd)
-        try:
-            # Full crash-consistent publish: write + fsync the temp
-            # file, atomic rename, fsync the directory — a power loss
-            # at any instant leaves the old entry or the new one,
-            # never a torn mix (and the entry itself is durable, not
-            # just the rename).
-            iofaults.publish_bytes(
-                "cache", path, json.dumps(payload).encode(), tmp)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        return False                # cache dir unwritable -> run uncached
-    return True
+    return STORE.publish(key, json.dumps(payload).encode())
 
 
 def load_payload(key: tuple) -> Optional[dict]:
@@ -203,7 +382,7 @@ def load_payload(key: tuple) -> Optional[dict]:
         # Torn/garbled entry (e.g. crashed writer on a non-atomic
         # filesystem): quarantine it so the slot heals on the next
         # store while the bad bytes stay auditable.
-        _quarantine(path)
+        STORE.quarantine(path)
         return None
 
 
@@ -215,7 +394,7 @@ def load(key: tuple) -> Optional[RunMetrics]:
     try:
         return metrics_from_dict(payload)
     except (ValueError, TypeError, KeyError):
-        _quarantine(entry_path(key))
+        STORE.quarantine(entry_path(key))
         return None
 
 
@@ -266,44 +445,23 @@ def list_entries() -> "list[CacheEntry]":
     written by older code versions are listed with ``current=False`` so
     stale bulk can be spotted before a ``clear``.
     """
-    objects = cache_dir() / "objects"
-    entries: list[CacheEntry] = []
-    if not objects.is_dir():
-        return entries
-    stamped = []
-    for path in objects.glob("*/*.json"):
-        try:
-            stat_result = path.stat()
-            payload = json.loads(path.read_text())
-            metrics = payload.get("metrics", {})
-            entry = CacheEntry(
-                path=path, size_bytes=stat_result.st_size,
-                workload=str(metrics.get("workload", "?")),
-                prefetcher=str(metrics.get("prefetcher", "?")),
-                variant=str(metrics.get("variant", "?")),
-                current=payload.get("salt") == _salt())
-            stamped.append((stat_result.st_mtime, entry))
-        except (OSError, ValueError, TypeError):
-            continue
-    stamped.sort(key=lambda pair: pair[0], reverse=True)
-    return [entry for _, entry in stamped]
+    def describe(path: Path, size: int) -> CacheEntry:
+        payload = json.loads(path.read_text())
+        metrics = payload.get("metrics", {})
+        return CacheEntry(
+            path=path, size_bytes=size,
+            workload=str(metrics.get("workload", "?")),
+            prefetcher=str(metrics.get("prefetcher", "?")),
+            variant=str(metrics.get("variant", "?")),
+            current=payload.get("salt") == _salt())
+    return STORE.listing(describe)
 
 
 def stats() -> CacheStats:
-    result = CacheStats(directory=cache_dir())
-    objects = cache_dir() / "objects"
-    if not objects.is_dir():
-        return result
-    for path in objects.glob("*/*.json"):
-        try:
-            result.total_bytes += path.stat().st_size
-            result.entries += 1
-        except OSError:
-            continue
-    return result
+    return CacheStats(cache_dir(), *STORE.totals())
 
 
-def _entry_status(path: Path) -> str:
+def classify(path: Path) -> str:
     """Classify one entry: ``ok`` | ``stale`` (old version) | ``corrupt``."""
     try:
         payload = json.loads(path.read_text())
@@ -314,6 +472,12 @@ def _entry_status(path: Path) -> str:
         return "ok"
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return "corrupt"
+
+
+#: The cache as ``verify`` and the doctor scan it: corrupt and stale
+#: entries are quarantined.
+LAYER = Layer("cache", STORE.entries, lambda path: (classify(path), ""),
+              STORE.tmp_orphans, STORE, ("corrupt", "stale"))
 
 
 @dataclass
@@ -328,6 +492,7 @@ class CacheVerifyReport:
     tmp_orphans: int = 0        # leaked writer temp files (crashed stores)
     tmp_removed: int = 0        # ... removed by --prune
     quarantine_entries: int = 0  # files sitting in <cache>/quarantine
+    #: entries --prune moved out of objects/ (into the quarantine)
     quarantined: "list[Path]" = dataclasses.field(default_factory=list)
 
     @property
@@ -353,36 +518,6 @@ class CacheVerifyReport:
         return "\n".join(lines)
 
 
-#: A writer temp file older than this is an orphan from a crashed
-#: store, not a live in-flight publish, and is safe to sweep.
-TMP_ORPHAN_AGE_S = 60.0
-
-
-def iter_tmp_orphans(objects: Path,
-                     min_age_s: float = TMP_ORPHAN_AGE_S) -> "list[Path]":
-    """Leaked ``*.tmp`` files under an objects tree, oldest-first.
-
-    Only files older than *min_age_s* are reported so a concurrent
-    writer's still-open temp file is never mistaken for a leak.
-    """
-    orphans = []
-    now = time.time()
-    for path in sorted(objects.glob("*/*.tmp")):
-        try:
-            if now - path.stat().st_mtime >= min_age_s:
-                orphans.append(path)
-        except OSError:
-            continue
-    return orphans
-
-
-def count_quarantine(directory: Path) -> int:
-    """Number of files held in a quarantine directory."""
-    if not directory.is_dir():
-        return 0
-    return sum(1 for path in directory.iterdir() if path.is_file())
-
-
 def verify(prune: bool = False,
            tmp_age_s: float = TMP_ORPHAN_AGE_S) -> CacheVerifyReport:
     """Scan every cache entry, classifying it as ok/stale/corrupt.
@@ -394,51 +529,24 @@ def verify(prune: bool = False,
     and orphaned temp files — which never held publishable data — are
     unlinked outright.
     """
-    report = CacheVerifyReport(directory=cache_dir())
-    objects = cache_dir() / "objects"
-    report.quarantine_entries = count_quarantine(quarantine_dir())
-    if not objects.is_dir():
-        return report
-    for path in sorted(objects.glob("*/*.json")):
-        report.scanned += 1
-        status = _entry_status(path)
-        if status == "ok":
-            report.ok += 1
+    report = CacheVerifyReport(directory=cache_dir(),
+                               quarantine_entries=STORE.held())
+    report.scanned, findings = scan(LAYER, prune, tmp_age_s)
+    for finding in findings:
+        if finding.kind == "tmp-orphan":
+            report.tmp_orphans += 1
+            report.tmp_removed += finding.repaired
             continue
-        if status == "stale":
+        if finding.kind == "stale":
             report.stale += 1
         else:
             report.corrupt += 1
-        if prune:
-            dest = _quarantine(path)
-            if dest is not None:
-                report.quarantined.append(dest)
-    for path in iter_tmp_orphans(objects, tmp_age_s):
-        report.tmp_orphans += 1
-        if prune:
-            try:
-                path.unlink()
-                report.tmp_removed += 1
-            except OSError:
-                continue
+        if finding.repaired:
+            report.quarantined.append(Path(finding.path))
+    report.ok = report.scanned - report.corrupt - report.stale
     return report
 
 
 def clear() -> int:
     """Delete every cache entry; returns the number removed."""
-    objects = cache_dir() / "objects"
-    removed = 0
-    if not objects.is_dir():
-        return removed
-    for path in objects.glob("*/*"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-    for sub in objects.glob("*"):
-        try:
-            sub.rmdir()
-        except OSError:
-            continue
-    return removed
+    return STORE.sweep(STORE.objects().glob("*/*"))

@@ -17,15 +17,22 @@ cache                 orphaned writer ``*.tmp``   unlink
 snapshot              corrupt/truncated file      quarantine
 snapshot              stale file (old salt)       unlink (unresumable)
 snapshot              orphaned writer ``*.tmp``   unlink
-store                 sqlite integrity failure    move DB aside (rebuilt
-                                                  from cache by sync)
-store                 rows missing vs. cache      ``sync_from_cache``
 lease                 stale claim (> TTL)         unlink
-member                corrupt cluster record      unlink (re-published
+lease                 takeover tombstone          unlink
+member                unreadable cluster record   unlink (re-published
                                                   on next heartbeat)
 member                stale cluster record        unlink
 member                orphaned writer ``*.tmp``   unlink
+store                 sqlite integrity failure    move DB aside (rebuilt
+                                                  from cache by sync)
+store                 rows missing vs. cache      ``sync_from_cache``
 ====================  ==========================  ======================
+
+The four file layers are rows (``repro.sim.cache.Layer``) of one loop,
+``repro.sim.cache.scan`` — the one ``repro cache verify`` runs — each
+classified the way its own readers judge it: the snapshot validator of
+``snapshot.load``, the cluster's member parser, and the workers' lease
+age against ``REPRO_LEASE_TTL``.
 
 Nothing is ever deleted that could hold evidence (corrupt bytes go to
 quarantine; a broken database is renamed ``*.corrupt.<pid>``, not
@@ -39,42 +46,18 @@ heal the damage an armed plan created without tripping over it.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.sim import cache as disk_cache
 from repro.sim import iofaults
 from repro.sim import snapshot as snapshot_store
-
-DEFAULT_LEASE_TTL_S = 300.0
-
-
-@dataclass
-class DoctorFinding:
-    """One problem the scan surfaced (and possibly repaired)."""
-
-    layer: str          # cache | snapshot | store | lease | member
-    kind: str           # corrupt | stale | tmp-orphan | divergence | ...
-    path: str
-    detail: str = ""
-    repaired: bool = False
-    action: str = ""    # what the repair did (or would do)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def describe(self) -> str:
-        state = f"repaired: {self.action}" if self.repaired else (
-            f"repair: {self.action}" if self.action else "no repair")
-        detail = f" ({self.detail})" if self.detail else ""
-        return f"[{self.layer}/{self.kind}] {self.path}{detail} — {state}"
+from repro.sim.cache import Finding, Layer
 
 
 @dataclass
@@ -84,7 +67,7 @@ class DoctorReport:
     cache_dir: str = ""
     repair: bool = False
     scanned: dict = field(default_factory=dict)   # layer -> items seen
-    findings: List[DoctorFinding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
     quarantine: dict = field(default_factory=dict)  # layer -> held files
     elapsed_s: float = 0.0
 
@@ -142,127 +125,15 @@ class DoctorReport:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Layer scans
-# ----------------------------------------------------------------------
-
-def _scan_cache(report: DoctorReport, repair: bool,
-                tmp_age_s: float) -> None:
-    objects = disk_cache.cache_dir() / "objects"
-    report.quarantine["cache"] = disk_cache.count_quarantine(
-        disk_cache.quarantine_dir())
-    scanned = 0
-    if objects.is_dir():
-        for path in sorted(objects.glob("*/*.json")):
-            scanned += 1
-            status = disk_cache._entry_status(path)
-            if status == "ok":
-                continue
-            finding = DoctorFinding(
-                layer="cache", kind=status, path=str(path),
-                action="quarantine")
-            if repair:
-                dest = disk_cache._quarantine(path)
-                finding.repaired = True
-                finding.action = (f"quarantined to {dest}" if dest
-                                  else "unlinked (quarantine failed)")
-            report.findings.append(finding)
-        for path in disk_cache.iter_tmp_orphans(objects, tmp_age_s):
-            finding = DoctorFinding(
-                layer="cache", kind="tmp-orphan", path=str(path),
-                detail="leaked by a crashed writer", action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
-    report.scanned["cache"] = scanned
-
-
-def _snapshot_status(path: Path) -> str:
-    """Classify one snapshot: ok | stale | corrupt (full body check)."""
-    header = snapshot_store.read_header(path)
-    if header is None:
-        return "corrupt"
-    if (header.get("version") != snapshot_store.SNAPSHOT_VERSION
-            or header.get("salt") != snapshot_store._salt()):
-        return "stale"
-    if (not isinstance(header.get("access_index"), int)
-            or not isinstance(header.get("length"), int)):
-        return "corrupt"
-    try:
-        raw = path.read_bytes()
-        newline = raw.index(b"\n", len(snapshot_store.MAGIC))
-        body = raw[newline + 1:]
-    except (OSError, ValueError):
-        return "corrupt"
-    if (len(body) != header["length"]
-            or hashlib.sha256(body).hexdigest() != header.get("sha256")):
-        return "corrupt"
-    return "ok"
-
-
-def _scan_snapshots(report: DoctorReport, repair: bool,
-                    tmp_age_s: float) -> None:
-    objects = snapshot_store.snapshot_dir() / "objects"
-    report.quarantine["snapshot"] = disk_cache.count_quarantine(
-        snapshot_store.quarantine_dir())
-    scanned = 0
-    if objects.is_dir():
-        for path in sorted(objects.glob("*/*.snap")):
-            scanned += 1
-            status = _snapshot_status(path)
-            if status == "ok":
-                continue
-            # A torn snapshot is evidence -> quarantine; a stale one is
-            # merely unresumable re-computable state -> unlink.
-            action = "quarantine" if status == "corrupt" else "unlink"
-            finding = DoctorFinding(
-                layer="snapshot", kind=status, path=str(path),
-                action=action)
-            if repair:
-                if status == "corrupt":
-                    dest = snapshot_store._quarantine(path)
-                    finding.repaired = True
-                    finding.action = (f"quarantined to {dest}" if dest
-                                      else "unlinked (quarantine failed)")
-                else:
-                    try:
-                        path.unlink()
-                        finding.repaired = True
-                        finding.action = "unlinked"
-                    except OSError as exc:
-                        finding.detail = str(exc)
-            report.findings.append(finding)
-        for path in disk_cache.iter_tmp_orphans(objects, tmp_age_s):
-            finding = DoctorFinding(
-                layer="snapshot", kind="tmp-orphan", path=str(path),
-                detail="leaked by a crashed writer", action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
-    report.scanned["snapshot"] = scanned
-
-
-def _scan_store(report: DoctorReport, repair: bool) -> None:
-    """sqlite integrity + store-vs-cache divergence, per campaign."""
+def _scan_store(repair: bool) -> Tuple[int, List[Finding]]:
+    """sqlite integrity + store-vs-cache divergence, per campaign;
+    returns (items scanned, findings) like ``repro.sim.cache.scan``."""
     from repro.campaign.grid import Campaign, CampaignSpecError
     from repro.campaign.store import CampaignStore, store_path
 
     path = store_path()
-    scanned = 0
     if not path.exists():
-        report.scanned["store"] = scanned
-        return
-    scanned += 1
+        return 0, []
 
     # Integrity first: a database sqlite itself cannot read is moved
     # aside (never deleted); the next healthy writer recreates the
@@ -279,7 +150,7 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
         intact = False
         detail = f"unreadable: {exc}"
     if not intact:
-        finding = DoctorFinding(
+        finding = Finding(
             layer="store", kind="corrupt", path=str(path), detail=detail,
             action="move aside; rebuilt from cache on next sync")
         if repair:
@@ -295,13 +166,12 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
                 finding.action = f"moved aside to {aside}"
             except OSError as exc:
                 finding.detail = f"{detail}; move failed: {exc}"
-        report.findings.append(finding)
-        report.scanned["store"] = scanned
-        return
+        return 1, [finding]
 
     # Divergence: any registered campaign whose cache-resident results
     # are not reflected in the store (the store is an index over the
     # content-addressed cache; missing rows are pure repair targets).
+    scanned, findings = 1, []
     try:
         with CampaignStore(path) as store:
             for meta in store.campaigns():
@@ -316,7 +186,7 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
                     campaign = Campaign.from_dict(
                         json.loads(spec_row[0]))
                 except (CampaignSpecError, ValueError, TypeError, KeyError):
-                    report.findings.append(DoctorFinding(
+                    findings.append(Finding(
                         layer="store", kind="bad-spec",
                         path=str(path),
                         detail=f"campaign {meta['campaign_id']}: "
@@ -328,7 +198,7 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
                     if disk_cache.load(cell.key) is not None]
                 if not divergent:
                     continue
-                finding = DoctorFinding(
+                finding = Finding(
                     layer="store", kind="divergence", path=str(path),
                     detail=(f"campaign {campaign.name}: "
                             f"{len(divergent)} cache-resident cells "
@@ -339,119 +209,60 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
                     finding.repaired = True
                     finding.action = (f"sync_from_cache ingested "
                                       f"{ingested} rows")
-                report.findings.append(finding)
+                findings.append(finding)
     except (sqlite3.Error, OSError) as exc:
-        report.findings.append(DoctorFinding(
+        findings.append(Finding(
             layer="store", kind="scan-error", path=str(path),
             detail=str(exc), action="no repair"))
-    report.scanned["store"] = scanned
+    return scanned, findings
 
 
-def _scan_leases(report: DoctorReport, repair: bool,
-                 lease_ttl_s: float) -> None:
-    campaigns_root = disk_cache.cache_dir() / "campaigns"
-    scanned = 0
-    now = time.time()
-    if campaigns_root.is_dir():
-        for path in sorted(campaigns_root.glob("*/leases/*.lease")):
-            scanned += 1
-            try:
-                age = now - path.stat().st_mtime
-            except OSError:
-                continue            # vanished mid-scan: released by owner
-            if age <= lease_ttl_s:
-                continue
-            finding = DoctorFinding(
-                layer="lease", kind="stale", path=str(path),
-                detail=f"age {age:.0f}s > ttl {lease_ttl_s:.0f}s",
-                action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
-        # Takeover tombstones a crashed reclaimer left behind.
-        for path in sorted(campaigns_root.glob("*/leases/*.stale.*")):
-            scanned += 1
-            finding = DoctorFinding(
-                layer="lease", kind="tombstone", path=str(path),
-                detail="leftover takeover marker", action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
-    report.scanned["lease"] = scanned
+def _lease_layer(ttl_s: float) -> Layer:
+    """Claim leases under ``<cache>/campaigns/*/leases``, plus the
+    takeover tombstones a crashed reclaimer left behind."""
+    from repro.campaign.worker import lease_age_s
+
+    root = disk_cache.cache_dir() / "campaigns"
+
+    def classify(path: Path) -> Tuple[str, str]:
+        if ".stale." in path.name:
+            return "tombstone", "leftover takeover marker"
+        age = lease_age_s(path)
+        if age is None or age <= ttl_s:     # None: released mid-scan
+            return "ok", ""
+        return "stale", f"age {age:.0f}s > ttl {ttl_s:.0f}s"
+
+    return Layer("lease", lambda: (sorted(root.glob("*/leases/*.lease"))
+                                   + sorted(root.glob("*/leases/*.stale.*"))),
+                 classify, lambda min_age_s: [])
 
 
-def _scan_members(report: DoctorReport, repair: bool,
-                  tmp_age_s: float) -> None:
+def _member_layer() -> Layer:
     """Cluster membership records in ``<cache>/cluster/members``.
 
     A record a replica stopped renewing (SIGKILL, wedge) or tore
     mid-publish is pure liveness metadata: unlinking is always safe
     because a live daemon re-publishes on its next heartbeat.
     """
-    from repro.serve import cluster as cluster_mod
+    from repro.serve import cluster
 
-    root = cluster_mod.members_dir()
-    ttl_s = cluster_mod.member_ttl()
-    scanned = 0
-    now = time.time()
-    if root.is_dir():
-        for path in sorted(root.glob("*.json")):
-            scanned += 1
-            kind = detail = None
-            try:
-                age = now - path.stat().st_mtime
-                data = json.loads(path.read_bytes().decode())
-                int(data["port"]), str(data["host"])
-            except OSError:
-                continue            # vanished mid-scan: clean shutdown
-            except (ValueError, KeyError, TypeError) as exc:
-                kind = "corrupt"
-                detail = f"unparseable member record: {exc}"
-            else:
-                if age > ttl_s:
-                    kind = "stale"
-                    detail = f"age {age:.0f}s > ttl {ttl_s:.0f}s"
-            if kind is None:
-                continue
-            finding = DoctorFinding(
-                layer="member", kind=kind, path=str(path),
-                detail=detail, action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
-        for path in sorted(root.glob("*.tmp")):
-            try:
-                if now - path.stat().st_mtime < tmp_age_s:
-                    continue        # possibly a live in-flight publish
-            except OSError:
-                continue
-            finding = DoctorFinding(
-                layer="member", kind="tmp-orphan", path=str(path),
-                detail="leaked by a crashed heartbeat", action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
-    report.scanned["member"] = scanned
+    root = cluster.members_dir()
+    ttl_s = cluster.member_ttl()
+
+    def classify(path: Path) -> Tuple[str, str]:
+        try:
+            record = cluster._load_record(path, ttl_s)
+        except OSError:
+            return "ok", ""                 # vanished: clean shutdown
+        except (ValueError, KeyError, TypeError) as exc:
+            return "corrupt", f"unparseable member record: {exc}"
+        if record.stale:
+            return "stale", f"age {record.age_s:.0f}s > ttl {ttl_s:.0f}s"
+        return "ok", ""
+
+    return Layer("member", lambda: sorted(root.glob("*.json")), classify,
+                 lambda min_age_s: disk_cache.aged(
+                     sorted(root.glob("*.tmp")), min_age_s))
 
 
 # ----------------------------------------------------------------------
@@ -459,30 +270,36 @@ def _scan_members(report: DoctorReport, repair: bool,
 # ----------------------------------------------------------------------
 
 def diagnose(repair: bool = False,
-             lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
+             lease_ttl_s: Optional[float] = None,
              tmp_age_s: float = disk_cache.TMP_ORPHAN_AGE_S
              ) -> DoctorReport:
     """Scan (and with ``repair=True`` heal) the whole durable state.
 
-    Covers the run cache, the snapshot store, the campaign sqlite store
-    (integrity + divergence from the cache), claim leases, and cluster
-    membership records.  The IO fault shim is disarmed for the duration
-    so an armed ``REPRO_IO_FAULTS`` plan cannot sabotage its own
-    cleanup; the previous arming (including lazy re-arming from the
-    environment) is restored afterwards.
+    Covers the run cache, the snapshot store, claim leases, cluster
+    membership records and the campaign sqlite store (integrity +
+    divergence from the cache).  Leases older than *lease_ttl_s*
+    (default: ``campaign.worker.lease_ttl()``, i.e. ``REPRO_LEASE_TTL``
+    or 300 s — the horizon the workers themselves reclaim at) are stale.
+    The IO fault shim is disarmed for the duration so an armed
+    ``REPRO_IO_FAULTS`` plan cannot sabotage its own cleanup; the
+    previous arming (including lazy re-arming from the environment) is
+    restored afterwards.
     """
+    from repro.campaign.worker import lease_ttl
+
     begin = time.perf_counter()
     report = DoctorReport(cache_dir=str(disk_cache.cache_dir()),
                           repair=repair)
+    layers = (disk_cache.LAYER, snapshot_store.LAYER,
+              _lease_layer(lease_ttl(lease_ttl_s)), _member_layer())
     with iofaults.PLANE.suspended():
-        _scan_cache(report, repair, tmp_age_s)
-        _scan_snapshots(report, repair, tmp_age_s)
-        _scan_store(report, repair)
-        _scan_leases(report, repair, lease_ttl_s)
-        _scan_members(report, repair, tmp_age_s)
-    report.quarantine["cache"] = disk_cache.count_quarantine(
-        disk_cache.quarantine_dir())
-    report.quarantine["snapshot"] = disk_cache.count_quarantine(
-        snapshot_store.quarantine_dir())
+        for layer in layers:
+            report.scanned[layer.name], findings = disk_cache.scan(
+                layer, repair, tmp_age_s)
+            report.findings += findings
+            if layer.store is not None:
+                report.quarantine[layer.name] = layer.store.held()
+        report.scanned["store"], findings = _scan_store(repair)
+        report.findings += findings
     report.elapsed_s = time.perf_counter() - begin
     return report

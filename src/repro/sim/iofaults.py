@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import errno
 import os
+import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional
@@ -207,19 +208,29 @@ def fsync_dir(site: str, path) -> None:
         os.close(fd)
 
 
-def publish_bytes(layer: str, path: Path, data: bytes,
-                  tmp: str) -> None:
+def publish_bytes(layer: str, path: Path, data: bytes) -> None:
     """The shared temp-fsync-rename-dirsync publish sequence.
 
-    Writes *data* to the already-created temp file *tmp*, fsyncs it,
-    atomically renames it over *path*, and fsyncs the parent directory
-    — the crash-consistent pattern every durable writer uses, with a
-    fault point at each step (``<layer>.write``, ``<layer>.fsync``,
-    ``<layer>.rename``, ``<layer>.dirsync``).  Raises ``OSError`` on
-    (injected or real) failure; the temp file is the caller's to clean.
+    Creates a temp file next to *path* (and the directory), writes
+    *data* to it, fsyncs it, atomically renames it over *path*, and
+    fsyncs the parent directory — the crash-consistent pattern every
+    durable writer uses, with a fault point at each step
+    (``<layer>.write``, ``.fsync``, ``.rename``, ``.dirsync``).  Raises
+    ``OSError`` on (injected or real) failure; the temp file never
+    outlives a failed publish.
     """
-    with open(tmp, "wb") as handle:
-        write(f"{layer}.write", handle, data)
-        fsync(f"{layer}.fsync", handle)
-    replace(f"{layer}.rename", tmp, path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        with open(tmp, "wb") as handle:
+            write(f"{layer}.write", handle, data)
+            fsync(f"{layer}.fsync", handle)
+        replace(f"{layer}.rename", tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     fsync_dir(f"{layer}.dirsync", path.parent)

@@ -128,7 +128,7 @@ def simulate_trace(trace: Trace, config: Optional[SystemConfig] = None,
                     AttributeError):
                 # A snapshot from an incompatible configuration slipped
                 # past the header checks: rebuild fresh and start over.
-                snapshot_store._quarantine(
+                snapshot_store.STORE.quarantine(
                     snapshot_store.snapshot_path(snapshot_key))
                 hierarchy, module = build_hierarchy(
                     trace, config, prefetcher, variant, l1d=l1d,

@@ -17,9 +17,9 @@ is a one-line JSON header (version, code-version salt, run key repr, the
 access index the snapshot was taken after, body length and sha256) followed
 by a pickled state payload.  Guarantees, mirroring ``repro.sim.cache``:
 
-- **Atomic writes**: temp file in the same directory, flushed and fsynced,
-  then ``os.replace``d — a crash mid-store can never expose a torn
-  snapshot, only the previous intact one.
+- **Atomic writes**: published with ``iofaults.publish_bytes`` (temp file
+  in the same directory, fsync, ``os.replace``) — a crash mid-store can
+  never expose a torn snapshot, only the previous intact one.
 - **Corruption tolerance**: a snapshot failing any header, length or
   checksum validation is quarantined to ``<snapshot dir>/quarantine/``
   (never an exception, never a silent delete) and treated as absent — the
@@ -30,23 +30,23 @@ by a pickled state payload.  Guarantees, mirroring ``repro.sim.cache``:
 
 Snapshots are *transient*: ``discard`` removes a run's snapshot once it
 completes, and ``prune`` (``repro snapshot prune``) sweeps leftovers from
-runs that never finished.
+runs that never finished.  The store is a ``repro.sim.cache.ObjectStore``
+instance, so paths, publish, quarantine and scans are the run cache's.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.sim import iofaults
 from repro.sim.cache import CACHE_VERSION, CODE_VERSION, cache_dir
+from repro.sim.cache import Layer, ObjectStore
 from repro.sim.config import env_int
 
 MAGIC = b"repro-snapshot\n"
@@ -80,41 +80,12 @@ def _salt() -> str:
     return f"{CACHE_VERSION}:{CODE_VERSION}:{SNAPSHOT_VERSION}"
 
 
-def key_digest(key: tuple) -> str:
-    """Content address of one run key, salted by the code version."""
-    return hashlib.sha256(repr((_salt(), key)).encode()).hexdigest()
-
-
-def snapshot_path(key: tuple) -> Path:
-    digest = key_digest(key)
-    return snapshot_dir() / "objects" / digest[:2] / f"{digest[2:]}.snap"
-
-
-def quarantine_dir() -> Path:
-    return snapshot_dir() / "quarantine"
-
-
-def _quarantine(path: Path) -> Optional[Path]:
-    """Move a bad snapshot aside (pid/serial-probed name, never overwrite);
-    fall back to unlinking so bad bytes can never poison later resumes."""
-    try:
-        quarantine_dir().mkdir(parents=True, exist_ok=True)
-        dest = quarantine_dir() / path.name
-        serial = 0
-        while dest.exists():
-            serial += 1
-            dest = (quarantine_dir()
-                    / f"{path.stem}.{os.getpid()}.{serial}{path.suffix}")
-        os.replace(path, dest)
-        COUNTERS["quarantined"] += 1
-        return dest
-    except OSError:
-        try:
-            path.unlink()
-            COUNTERS["quarantined"] += 1
-        except OSError:
-            pass
-        return None
+#: The snapshot files (``_salt`` late-bound: a replacement takes effect).
+STORE = ObjectStore("snapshot", snapshot_dir, ".snap", lambda: _salt(),
+                    counters=COUNTERS)
+key_digest = STORE.digest
+snapshot_path = STORE.path
+quarantine_dir = STORE.quarantine_dir
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +100,6 @@ def store(key: tuple, access_index: int, state: dict) -> bool:
     Returns False when the snapshot directory is unwritable (the run
     simply continues unprotected).
     """
-    path = snapshot_path(key)
     body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     header = {
         "version": SNAPSHOT_VERSION,
@@ -140,19 +110,7 @@ def store(key: tuple, access_index: int, state: dict) -> bool:
         "sha256": hashlib.sha256(body).hexdigest(),
     }
     data = MAGIC + json.dumps(header).encode() + b"\n" + body
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        os.close(fd)
-        try:
-            iofaults.publish_bytes("snapshot", path, data, tmp)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
+    if not STORE.publish(key, data):
         return False
     COUNTERS["stores"] += 1
     return True
@@ -190,6 +148,51 @@ def read_header(path: Path) -> Optional[dict]:
     return header
 
 
+def _header_status(header: Optional[dict]) -> str:
+    """``ok`` | ``stale`` (old version or salt) | ``corrupt``."""
+    if header is None:
+        return "corrupt"
+    if (header.get("version") != SNAPSHOT_VERSION
+            or header.get("salt") != _salt()):
+        return "stale"
+    if (not isinstance(header.get("access_index"), int)
+            or not isinstance(header.get("length"), int)):
+        return "corrupt"
+    return "ok"
+
+
+def _validate(path: Path) -> Tuple[str, Optional[dict], bytes]:
+    """Check one snapshot file: (status, header, body).
+
+    Status is ``ok`` only when the header is current and the body has
+    the recorded length and sha256; the body is never unpickled here.
+    """
+    header = read_header(path)
+    status = _header_status(header)
+    if status != "ok":
+        return status, header, b""
+    try:
+        raw = iofaults.read_bytes("snapshot.read", path)
+        body = raw[raw.index(b"\n", len(MAGIC)) + 1:]
+    except (OSError, ValueError):
+        return "corrupt", header, b""
+    if (len(body) != header["length"]
+            or hashlib.sha256(body).hexdigest() != header.get("sha256")):
+        return "corrupt", header, b""
+    return "ok", header, body
+
+
+def classify(path: Path) -> str:
+    """Classify one snapshot: ``ok`` | ``stale`` | ``corrupt``."""
+    return _validate(path)[0]
+
+
+#: The snapshot store as the doctor scans it: a torn snapshot is
+#: evidence (quarantined), a stale one merely unresumable (unlinked).
+LAYER = Layer("snapshot", STORE.entries, lambda path: (classify(path), ""),
+              STORE.tmp_orphans, STORE, ("corrupt",))
+
+
 def peek(key: tuple) -> Optional[dict]:
     """Header-only progress probe for one run key (no body unpickle).
 
@@ -199,14 +202,8 @@ def peek(key: tuple) -> Optional[dict]:
     deserializes simulator state, and never quarantines — a torn file
     simply reads as "no progress yet".
     """
-    path = snapshot_path(key)
-    header = read_header(path)
-    if (header is None
-            or header.get("version") != SNAPSHOT_VERSION
-            or header.get("salt") != _salt()
-            or not isinstance(header.get("access_index"), int)):
-        return None
-    return header
+    header = read_header(snapshot_path(key))
+    return header if _header_status(header) == "ok" else None
 
 
 def load(key: tuple) -> Optional[Tuple[int, dict]]:
@@ -220,29 +217,17 @@ def load(key: tuple) -> Optional[Tuple[int, dict]]:
     if not path.exists():
         COUNTERS["misses"] += 1
         return None
-    header = read_header(path)
-    if (header is None
-            or header.get("version") != SNAPSHOT_VERSION
-            or header.get("salt") != _salt()
-            or not isinstance(header.get("access_index"), int)
-            or not isinstance(header.get("length"), int)):
-        _quarantine(path)
-        COUNTERS["misses"] += 1
-        return None
-    try:
-        raw = iofaults.read_bytes("snapshot.read", path)
-        newline = raw.index(b"\n", len(MAGIC))
-        body = raw[newline + 1:]
-        if (len(body) != header["length"]
-                or hashlib.sha256(body).hexdigest() != header.get("sha256")):
-            raise ValueError("snapshot body failed validation")
-        state = pickle.loads(body)
-        if not isinstance(state, dict):
-            raise ValueError("snapshot payload is not a state dict")
-    except (OSError, ValueError, TypeError, KeyError, EOFError,
-            pickle.UnpicklingError, AttributeError, ImportError,
-            IndexError, MemoryError):
-        _quarantine(path)
+    status, header, body = _validate(path)
+    state = None
+    if status == "ok":
+        try:
+            state = pickle.loads(body)
+        except (ValueError, TypeError, KeyError, EOFError,
+                pickle.UnpicklingError, AttributeError, ImportError,
+                IndexError, MemoryError):
+            pass
+    if not isinstance(state, dict):
+        STORE.quarantine(path)
         COUNTERS["misses"] += 1
         return None
     COUNTERS["loads"] += 1
@@ -295,71 +280,41 @@ class SnapshotStats:
 
 
 def list_entries() -> "list[SnapshotEntry]":
-    """Enumerate every snapshot, newest first; unreadable ones skipped."""
-    objects = snapshot_dir() / "objects"
-    entries: "list[SnapshotEntry]" = []
-    if not objects.is_dir():
-        return entries
-    stamped = []
-    for path in objects.glob("*/*.snap"):
-        try:
-            stat_result = path.stat()
-        except OSError:
-            continue
-        header = read_header(path)
-        if header is None:
-            header = {}
-        entry = SnapshotEntry(
-            path=path, size_bytes=stat_result.st_size,
+    """Enumerate every snapshot, newest first (unreadable headers are
+    listed with placeholder fields)."""
+    def describe(path: Path, size: int) -> SnapshotEntry:
+        header = read_header(path) or {}
+        return SnapshotEntry(
+            path=path, size_bytes=size,
             access_index=header.get("access_index", -1),
             key=str(header.get("key", "?")),
             current=header.get("salt") == _salt())
-        stamped.append((stat_result.st_mtime, entry))
-    stamped.sort(key=lambda pair: pair[0], reverse=True)
-    return [entry for _, entry in stamped]
+    return STORE.listing(describe)
 
 
 def stats() -> SnapshotStats:
-    result = SnapshotStats(directory=snapshot_dir())
-    objects = snapshot_dir() / "objects"
-    if not objects.is_dir():
-        return result
-    for path in objects.glob("*/*.snap"):
-        try:
-            result.total_bytes += path.stat().st_size
-            result.entries += 1
-        except OSError:
-            continue
-    return result
+    return SnapshotStats(snapshot_dir(), *STORE.totals())
 
 
 def prune(all_entries: bool = False) -> int:
     """Remove leftover snapshots; returns the number removed.
 
-    By default only snapshots whose salt no longer matches the running
-    code (unresumable) are removed; ``all_entries=True`` sweeps everything
-    — safe because snapshots only ever save re-computable work.
+    By default only snapshots the running code cannot resume are
+    removed: stale ones (old salt) are unlinked, and torn ones are
+    quarantined like the doctor does, never silently deleted.
+    ``all_entries=True`` also unlinks every intact snapshot — safe
+    because snapshots only ever save re-computable work.
     """
-    objects = snapshot_dir() / "objects"
-    removed = 0
-    if not objects.is_dir():
-        return removed
-    for path in objects.glob("*/*.snap"):
-        header = read_header(path)
-        stale = header is None or header.get("salt") != _salt()
-        if not (all_entries or stale):
-            continue
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-    for sub in objects.glob("*"):
-        try:
-            sub.rmdir()
-        except OSError:
-            continue
-    return removed
+    doomed = []
+    quarantined = 0
+    for path in STORE.entries():
+        status = classify(path)
+        if status == "corrupt":
+            STORE.quarantine(path)
+            quarantined += 1
+        elif status == "stale" or all_entries:
+            doomed.append(path)
+    return quarantined + STORE.sweep(doomed)
 
 
 def reset_counters() -> None:

@@ -279,6 +279,23 @@ class TestDoctorMembers:
         assert survivors == [cluster.member_id_for("127.0.0.1", 9001)]
         assert not orphan.exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"host": "127.0.0.1", "port": 9003},
+        {"member_id": "odd", "host": "127.0.0.1", "port": 9003,
+         "pid": "not-a-pid"},
+    ], ids=["no-member-id", "non-int-pid"])
+    def test_doctor_flags_records_the_registry_cannot_read(self, payload):
+        root = cluster.members_dir()
+        root.mkdir(parents=True)
+        path = root / "odd.json"
+        path.write_text(json.dumps(payload))
+        assert cluster.load_members(include_stale=True) == []
+        report = doctor.diagnose()
+        assert [(f.layer, f.kind) for f in report.findings] == \
+            [("member", "corrupt")]
+        report = doctor.diagnose(repair=True)
+        assert report.healthy and not path.exists()
+
     def test_doctor_clean_on_healthy_registry(self):
         cluster.register("127.0.0.1", 9001)
         report = doctor.diagnose(repair=True)

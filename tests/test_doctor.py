@@ -189,6 +189,29 @@ class TestLeaseHealing:
         assert fresh.exists()
 
 
+class TestLeaseTtlFromEnv:
+    def test_repro_lease_ttl_sets_the_doctors_horizon(self, tmp_path,
+                                                      monkeypatch, capsys):
+        from repro.cli import main
+        leases = tmp_path / "campaigns" / "deadbeef" / "leases"
+        leases.mkdir(parents=True)
+        lease = leases / "cell0.lease"
+        lease.write_text("{}")
+        _age(lease, 400)
+
+        monkeypatch.setenv("REPRO_LEASE_TTL", "3600")
+        report = doctor.diagnose(repair=True)
+        assert report.count("lease") == 0 and lease.exists()
+        assert main(["doctor", "--repair"]) == 0
+        capsys.readouterr()
+        assert lease.exists()
+
+        monkeypatch.setenv("REPRO_LEASE_TTL", "60")
+        report = doctor.diagnose(repair=True)
+        assert report.count("lease", "stale") == 1 and report.healthy
+        assert not lease.exists()
+
+
 class TestDoctorUnderFaults:
     def test_diagnose_disarms_the_shim_and_restores_it(self):
         damage_cache(cache.cache_dir())

@@ -124,7 +124,7 @@ class TestValidation:
     def test_quarantine_never_overwrites(self):
         for _ in range(3):
             path = self._stored_path()
-            snapshot._quarantine(path)
+            snapshot.STORE.quarantine(path)
         assert len(list(snapshot.quarantine_dir().glob("*"))) == 3
 
 
@@ -157,6 +157,17 @@ class TestMaintenance:
         snapshot.store(("other",), 5, {"x": 1})
         assert snapshot.prune(all_entries=True) == 2
         assert snapshot.stats().entries == 0
+
+
+    def test_prune_quarantines_a_torn_header(self):
+        snapshot.store(KEY, 199, STATE)
+        path = snapshot.snapshot_path(KEY)
+        torn = snapshot.MAGIC + b'{"version": 1, "sa'
+        path.write_bytes(torn)
+        assert snapshot.prune() == 1
+        assert not path.exists()
+        (held,) = snapshot.quarantine_dir().iterdir()
+        assert held.read_bytes() == torn
 
 
 class TestCli:
