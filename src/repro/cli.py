@@ -62,7 +62,7 @@ from repro.sim.metrics import RunMetrics
 from repro.sim.runner import RunRequest, engine_stats, run_batch
 from repro.sim.simulator import L1D_PREFETCHERS, simulate_trace
 from repro.workloads.io import load_trace, save_trace
-from repro.workloads.suites import catalog
+from repro.workloads.suites import WorkloadSpec, catalog
 
 
 def _metrics_rows(metrics: RunMetrics) -> List[List]:
@@ -495,40 +495,48 @@ def cmd_verify(args) -> int:
     variants = ([args.variant] if args.variant
                 else ["none", "original", "psa", "psa-2mb", "psa-sd"])
     config = _config_from(args)
-    for name in names:
-        for variant in variants:
-            try:
-                metrics = simulate_workload(
-                    name, config=config, prefetcher=args.prefetcher,
-                    variant=variant, l1d=args.l1d,
-                    n_accesses=args.accesses, oracle=True)
-                report = metrics.oracle_report
-                print(f"OK   {name:<14s} {variant:<9s} "
-                      f"{report.events} events, "
-                      f"{len(report.counters)} counters matched")
-            except OracleDivergence as exc:
-                failed += 1
-                print(f"FAIL {name:<14s} {variant:<9s} "
-                      f"{exc.report.total_divergences} divergence(s)")
-                if args.diff_out:
-                    Path(args.diff_out).write_text(exc.report.to_text()
-                                                   + "\n")
-                    print(f"     diff written to {args.diff_out}")
-                else:
-                    for line in exc.report.divergences[:5]:
-                        print(f"     {line}")
-            except InvariantViolation as exc:
-                # REPRO_CHECK tripped before the oracle could finish its
-                # diff — still a verification failure, report it as one.
-                failed += 1
-                print(f"FAIL {name:<14s} {variant:<9s} "
-                      f"runtime invariant violated")
-                message = f"invariant violation:\n{exc}\n"
-                if args.diff_out:
-                    Path(args.diff_out).write_text(message)
-                    print(f"     diff written to {args.diff_out}")
-                else:
-                    print(f"     {exc}")
+    # Every replay is checked before the first one runs.
+    requests = [RunRequest(name, args.prefetcher, variant, l1d=args.l1d,
+                           n_accesses=args.accesses,
+                           config=config).resolved()
+                for name in names for variant in variants]
+    for request in requests:
+        name, variant = request.workload, request.variant
+        try:
+            metrics = simulate_workload(
+                name, config=request.config, prefetcher=request.prefetcher,
+                variant=variant, l1d=request.l1d,
+                n_accesses=request.n_accesses,
+                table_scale=request.table_scale,
+                gb_fraction=request.gb_fraction, dueling=request.dueling,
+                oracle=True)
+            report = metrics.oracle_report
+            print(f"OK   {name:<14s} {variant:<9s} "
+                  f"{report.events} events, "
+                  f"{len(report.counters)} counters matched")
+        except OracleDivergence as exc:
+            failed += 1
+            print(f"FAIL {name:<14s} {variant:<9s} "
+                  f"{exc.report.total_divergences} divergence(s)")
+            if args.diff_out:
+                Path(args.diff_out).write_text(exc.report.to_text()
+                                               + "\n")
+                print(f"     diff written to {args.diff_out}")
+            else:
+                for line in exc.report.divergences[:5]:
+                    print(f"     {line}")
+        except InvariantViolation as exc:
+            # REPRO_CHECK tripped before the oracle could finish its
+            # diff — still a verification failure, report it as one.
+            failed += 1
+            print(f"FAIL {name:<14s} {variant:<9s} "
+                  f"runtime invariant violated")
+            message = f"invariant violation:\n{exc}\n"
+            if args.diff_out:
+                Path(args.diff_out).write_text(message)
+                print(f"     diff written to {args.diff_out}")
+            else:
+                print(f"     {exc}")
     if failed:
         print(f"\n{failed} (workload, variant) pair(s) diverged from the "
               f"reference model", file=sys.stderr)
@@ -574,8 +582,17 @@ def cmd_trace(args) -> int:
         return 0
     if args.simulate:
         trace = load_trace(args.simulate)
-        metrics = simulate_trace(trace, prefetcher=args.prefetcher,
-                                 variant=args.variant)
+        # The trace is not a catalog workload: a spec describing it
+        # stands in, so the request is checked like any other.
+        request = RunRequest(
+            WorkloadSpec(trace.name, trace.suite, "file",
+                         trace.thp_fraction),
+            args.prefetcher, args.variant).resolved()
+        metrics = simulate_trace(
+            trace, config=request.config, prefetcher=request.prefetcher,
+            variant=request.variant, l1d=request.l1d,
+            table_scale=request.table_scale,
+            gb_fraction=request.gb_fraction, dueling=request.dueling)
         print(format_table(["metric", "value"], _metrics_rows(metrics),
                            title=f"{trace.name} (from file)"))
         return 0

@@ -41,6 +41,9 @@ PAGE_SIZE_4K = 0
 PAGE_SIZE_2M = 1
 PAGE_SIZE_1G = 2
 
+#: Native page-number shift, indexed by page-size code.
+PAGE_SHIFT = (PAGE_4K_BITS, PAGE_2M_BITS, PAGE_1G_BITS)
+
 
 def block_number(addr: int) -> int:
     """Return the cache-block number of a byte address."""
@@ -96,12 +99,3 @@ def make_address(page: int, byte_offset: int = 0) -> int:
     """Build a byte address from a 4KB page number and an in-page offset."""
     return (page << PAGE_4K_BITS) | (byte_offset & (PAGE_4K_SIZE - 1))
 
-
-def page1g_number(addr: int) -> int:
-    """Return the 1GB page number of a byte address."""
-    return addr >> PAGE_1G_BITS
-
-
-def page1g_of_block(block: int) -> int:
-    """Return the 1GB page number containing a cache block."""
-    return block >> (PAGE_1G_BITS - BLOCK_BITS)

@@ -11,6 +11,13 @@ mechanisms need:
   paper budgets one bit per L2C block (1KB for a 512KB L2C); we store the
   same information as a small int.
 
+Replacement is LRU at every level, as in the paper's configuration.  Each
+set's dict is kept in *recency* order: a hit moves the line to the end, so
+the victim is simply the set's first key.  Every line also carries the
+set-local clock stamp of its last use and of its fill; ``state_dict``
+writes the sets and stamps in fill order, so a snapshot does not depend on
+the in-memory order.
+
 The cache is purely structural (hit/miss state); all timing lives in the
 hierarchy driver, which combines cache latencies with MSHR occupancy.
 """
@@ -20,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.mshr import MSHR
-from repro.memory.replacement import LRUPolicy
 from repro.sim.config import CacheConfig
 from repro.verify import invariants
 
@@ -29,15 +35,20 @@ NO_ISSUER = -1
 
 
 class CacheLine:
-    """Metadata of one resident cache block."""
+    """Metadata of one resident cache block.
 
-    __slots__ = ("dirty", "prefetch", "issuer")
+    ``stamp`` is the set's clock at the line's last use (fill or hit),
+    ``filled`` the set's clock at its fill; both are set by the cache.
+    """
+
+    __slots__ = ("dirty", "prefetch", "issuer", "stamp", "filled")
 
     def __init__(self, dirty: bool = False, prefetch: bool = False,
                  issuer: int = NO_ISSUER) -> None:
         self.dirty = dirty
         self.prefetch = prefetch
         self.issuer = issuer
+        self.stamp = self.filled = 0
 
 
 class Cache:
@@ -50,8 +61,10 @@ class Cache:
         self.num_sets = config.sets
         self.ways = config.ways
         self._set_mask = self.num_sets - 1
+        #: Per set: resident lines, least recently used first.
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(self.num_sets)]
-        self._policies = [LRUPolicy() for _ in range(self.num_sets)]
+        #: Per set: the LRU clock, bumped on every fill and hit.
+        self._clocks: List[int] = [0] * self.num_sets
         self.mshr = MSHR(config.name, config.mshr_entries)
         # In-flight prefetch fills live in a separate structure (the
         # prefetch queue of real designs): prefetches must not consume the
@@ -80,9 +93,14 @@ class Cache:
     def lookup(self, block: int, update_lru: bool = True) -> Optional[CacheLine]:
         """Return the resident line for *block*, or None on miss."""
         idx = block & self._set_mask
-        line = self._sets[idx].get(block)
+        cache_set = self._sets[idx]
+        line = cache_set.get(block)
         if line is not None and update_lru:
-            self._policies[idx].on_hit(block)
+            clock = self._clocks[idx] + 1
+            self._clocks[idx] = clock
+            line.stamp = clock
+            del cache_set[block]
+            cache_set[block] = line
         return line
 
     def contains(self, block: int) -> bool:
@@ -112,29 +130,28 @@ class Cache:
                line: CacheLine):
         """Install *line* for a non-resident *block* in set *idx*.
 
-        Evicts the LRU line when the set is full and returns it as
-        ``(victim_block, victim_line)``, else ``(None, None)``.  The
-        hierarchy's demand path calls this directly with the set it has
-        already looked up.
+        Evicts the LRU line (the set's first) when the set is full and
+        returns it as ``(victim_block, victim_line)``, else ``(None,
+        None)``.  The hierarchy's demand path calls this directly with the
+        set it has already looked up.
         """
-        policy = self._policies[idx]
-        stamps = policy._stamps
         if len(cache_set) < self.ways:
             victim = victim_line = None
         else:
-            victim = min(stamps, key=stamps.__getitem__)
-            if self._check and victim not in cache_set:
-                invariants.violated(
-                    f"{self.name}: replacement policy of set {idx} named "
-                    f"victim {victim:#x} that is not resident in the set")
+            for victim in cache_set:   # the first key: least recent
+                break
             victim_line = cache_set.pop(victim)
-            del stamps[victim]
+            if self._check and any(other.stamp < victim_line.stamp
+                                   for other in cache_set.values()):
+                invariants.violated(
+                    f"{self.name}: set {idx} evicted {victim:#x}, which is "
+                    f"not its least recently used line")
             if victim_line.dirty:
                 self.writebacks += 1
+        clock = self._clocks[idx] + 1
+        self._clocks[idx] = clock
+        line.stamp = line.filled = clock
         cache_set[block] = line
-        clock = policy._clock + 1
-        policy._clock = clock
-        stamps[block] = clock
         if line.prefetch:
             self.prefetch_fills += 1
         if self._check:
@@ -150,12 +167,7 @@ class Cache:
 
     def invalidate(self, block: int) -> bool:
         """Drop *block* if resident; return True when something was removed."""
-        idx = block & self._set_mask
-        line = self._sets[idx].pop(block, None)
-        if line is None:
-            return False
-        self._policies[idx].on_evict(block)
-        return True
+        return self._sets[block & self._set_mask].pop(block, None) is not None
 
     def mark_dirty(self, block: int) -> None:
         line = self.lookup(block, update_lru=False)
@@ -226,12 +238,23 @@ class Cache:
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Snapshot resident lines, replacement state, MSHRs and stats."""
+        """Snapshot resident lines, replacement state, MSHRs and stats.
+
+        Sets and stamps are written in fill order (the order of
+        ``filled``), whatever the sets' in-memory recency order.
+        """
+        sets = []
+        policies = []
+        for cache_set, clock in zip(self._sets, self._clocks):
+            lines = sorted(cache_set.items(), key=_fill_order)
+            sets.append({block: (line.dirty, line.prefetch, line.issuer)
+                         for block, line in lines})
+            policies.append({"stamps": {block: line.stamp
+                                        for block, line in lines},
+                             "clock": clock})
         return {
-            "sets": [{block: (line.dirty, line.prefetch, line.issuer)
-                      for block, line in cache_set.items()}
-                     for cache_set in self._sets],
-            "policies": [policy.state_dict() for policy in self._policies],
+            "sets": sets,
+            "policies": policies,
             "mshr": self.mshr.state_dict(),
             "pf_mshr": self.pf_mshr.state_dict(),
             "stats": (self.demand_accesses, self.demand_hits,
@@ -240,13 +263,31 @@ class Cache:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._sets = [{block: CacheLine(dirty=d, prefetch=p, issuer=i)
-                       for block, (d, p, i) in cache_set.items()}
-                      for cache_set in state["sets"]]
-        for policy, policy_state in zip(self._policies, state["policies"]):
-            policy.load_state_dict(policy_state)
+        sets = []
+        for cache_set, policy in zip(state["sets"], state["policies"]):
+            stamps = policy["stamps"]
+            lines = []
+            # Loaded lines keep their fill order below any future fill.
+            for filled, (block, (d, p, i)) in enumerate(
+                    cache_set.items(), -len(cache_set)):
+                line = CacheLine(d, p, i)
+                line.stamp = stamps[block]
+                line.filled = filled
+                lines.append((block, line))
+            lines.sort(key=_recency_order)
+            sets.append(dict(lines))
+        self._sets = sets
+        self._clocks = [policy["clock"] for policy in state["policies"]]
         self.mshr.load_state_dict(state["mshr"])
         self.pf_mshr.load_state_dict(state["pf_mshr"])
         (self.demand_accesses, self.demand_hits, self.demand_misses,
          self.useful_prefetches, self.prefetch_fills,
          self.writebacks) = state["stats"]
+
+
+def _fill_order(item: Tuple[int, CacheLine]) -> int:
+    return item[1].filled
+
+
+def _recency_order(item: Tuple[int, CacheLine]) -> int:
+    return item[1].stamp

@@ -33,9 +33,7 @@ from repro.memory.address import (
     BLOCKS_PER_1G,
     BLOCKS_PER_2M,
     BLOCKS_PER_4K,
-    PAGE_1G_BITS,
-    PAGE_2M_BITS,
-    PAGE_4K_BITS,
+    PAGE_SHIFT as _PAGE_SHIFT,
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
 )
@@ -47,9 +45,6 @@ from repro.verify import invariants
 from repro.vm.allocator import PhysicalMemoryAllocator
 from repro.vm.page_table import PageTable
 from repro.vm.walker import AddressTranslator
-
-#: Native page-number shift, indexed by page-size code (4KB, 2MB, 1GB).
-_PAGE_SHIFT = (PAGE_4K_BITS, PAGE_2M_BITS, PAGE_1G_BITS)
 
 
 class MemoryHierarchy:
@@ -161,13 +156,18 @@ class MemoryHierarchy:
         # --- L1D ------------------------------------------------------
         l1d = self.l1d
         s1 = block & l1d._set_mask
-        line = l1d._sets[s1].get(block)
+        l1_set = l1d._sets[s1]
+        line = l1_set.get(block)
         hit = line is not None
         l1d.demand_accesses += 1
         if hit:
-            policy = l1d._policies[s1]
-            policy._clock += 1
-            policy._stamps[block] = policy._clock
+            # LRU touch (``Cache.lookup`` inlined): restamp, move to the end.
+            clocks = l1d._clocks
+            clock = clocks[s1] + 1
+            clocks[s1] = clock
+            line.stamp = clock
+            del l1_set[block]
+            l1_set[block] = line
             l1d.demand_hits += 1
             if line.prefetch:
                 l1d.useful_prefetches += 1
@@ -181,7 +181,28 @@ class MemoryHierarchy:
         if self.l1d_prefetcher is not None and not is_write:
             for pf_vaddr in self.l1d_prefetcher.on_access(vaddr, ip, hit):
                 self._issue_l1_prefetch(pf_vaddr, t)
-        pending = l1d.inflight_lookup(block, t)
+        # Merge probe (``l1d.inflight_lookup`` inlined): completed fills
+        # retire lazily; a live entry counts a merge.
+        mshr = l1d.mshr
+        entries = mshr._entries
+        pending = None
+        if block in entries:
+            pending = entries[block]
+            if pending[0] <= t:
+                del entries[block]
+                pending = None
+            else:
+                mshr.merges += 1
+        if pending is None:
+            pq = l1d.pf_mshr
+            entries = pq._entries
+            if block in entries:
+                pending = entries[block]
+                if pending[0] <= t:
+                    del entries[block]
+                    pending = None
+                else:
+                    pq.merges += 1
         if hit:
             if is_write:
                 line.dirty = True
@@ -197,7 +218,6 @@ class MemoryHierarchy:
                     obs.on_mark_dirty("l1d", block)
                 l1d.mark_dirty(block)
             return max(pending[0], t + l1d.latency)
-        mshr = l1d.mshr
         if len(mshr._entries) >= mshr.capacity:
             t = mshr.stall_until_free(t)
         # --- L2C demand: engages the L2C prefetcher -------------------
@@ -214,9 +234,12 @@ class MemoryHierarchy:
         l2c.demand_accesses += 1
         useful_issuer = None
         if hit:
-            policy = l2c._policies[s2]
-            policy._clock += 1
-            policy._stamps[block] = policy._clock
+            clocks = l2c._clocks
+            clock = clocks[s2] + 1
+            clocks[s2] = clock
+            line.stamp = clock
+            del l2_set[block]
+            l2_set[block] = line
             l2c.demand_hits += 1
             if line.prefetch:
                 l2c.useful_prefetches += 1
@@ -231,7 +254,26 @@ class MemoryHierarchy:
                                        page_size)
         if not hit:
             module.on_demand_miss(block)
-        pending = l2c.inflight_lookup(block, t)
+        l2_mshr = l2c.mshr
+        entries = l2_mshr._entries
+        pending = None
+        if block in entries:
+            pending = entries[block]
+            if pending[0] <= t:
+                del entries[block]
+                pending = None
+            else:
+                l2_mshr.merges += 1
+        if pending is None:
+            pq = l2c.pf_mshr
+            entries = pq._entries
+            if block in entries:
+                pending = entries[block]
+                if pending[0] <= t:
+                    del entries[block]
+                    pending = None
+                else:
+                    pq.merges += 1
         if obs is not None:
             obs.on_l2_demand(block, hit, not hit and pending is not None,
                              page_size_bit, useful_issuer)
@@ -242,7 +284,6 @@ class MemoryHierarchy:
         elif pending is not None:
             ready = max(pending[0], t + l2c.latency)
         else:
-            l2_mshr = l2c.mshr
             t_alloc = t
             if len(l2_mshr._entries) >= l2_mshr.capacity:
                 t_alloc = l2_mshr.stall_until_free(t)
@@ -252,9 +293,8 @@ class MemoryHierarchy:
             l2_mshr.insert(block, ready, 0 if bit is None else bit)
             # Fill the L2C: merge into a resident line, else place (LRU).
             victim = None
-            existing = l2_set.get(block)
-            if existing is not None:
-                existing.prefetch = False
+            if block in l2_set:
+                l2_set[block].prefetch = False
             else:
                 victim, victim_line = l2c._place(l2_set, s2, block,
                                                  CacheLine())
@@ -270,9 +310,8 @@ class MemoryHierarchy:
         self.ppm.annotate_l1d_miss(mshr, block, ready, page_size)
         # Fill the L1D: merge into a resident line, else place (LRU).
         victim = None
-        l1_set = l1d._sets[s1]
-        existing = l1_set.get(block)
-        if existing is not None:
+        if block in l1_set:
+            existing = l1_set[block]
             existing.dirty = existing.dirty or is_write
             existing.prefetch = False
         else:
@@ -301,9 +340,12 @@ class MemoryHierarchy:
         line = llc_set.get(block)
         hit = line is not None
         if hit:
-            policy = llc._policies[s3]
-            policy._clock += 1
-            policy._stamps[block] = policy._clock
+            clocks = llc._clocks
+            clock = clocks[s3] + 1
+            clocks[s3] = clock
+            line.stamp = clock
+            del llc_set[block]
+            llc_set[block] = line
         useful_issuer = None
         llc_module = self.llc_module if count_demand else None
         if count_demand:
@@ -320,7 +362,26 @@ class MemoryHierarchy:
             if llc_module is not None:
                 llc_requests = llc_module.on_l2_access(
                     block, ip, hit, s3, page_size_bit, true_page_size)
-        pending = llc.inflight_lookup(block, t)
+        mshr = llc.mshr
+        entries = mshr._entries
+        pending = None
+        if block in entries:
+            pending = entries[block]
+            if pending[0] <= t:
+                del entries[block]
+                pending = None
+            else:
+                mshr.merges += 1
+        if pending is None:
+            pq = llc.pf_mshr
+            entries = pq._entries
+            if block in entries:
+                pending = entries[block]
+                if pending[0] <= t:
+                    del entries[block]
+                    pending = None
+                else:
+                    pq.merges += 1
         if obs is not None:
             obs.on_llc_demand(block, hit, not hit and pending is not None,
                               count_demand, useful_issuer)
@@ -331,7 +392,6 @@ class MemoryHierarchy:
         elif pending is not None:
             ready = max(pending[0], t + llc.latency)
         else:
-            mshr = llc.mshr
             t_alloc = t
             if len(mshr._entries) >= mshr.capacity:
                 t_alloc = mshr.stall_until_free(t)
@@ -339,9 +399,8 @@ class MemoryHierarchy:
             mshr.insert(block, ready)
             # Fill the LLC: merge into a resident line, else place (LRU).
             victim = None
-            existing = llc_set.get(block)
-            if existing is not None:
-                existing.prefetch = False
+            if block in llc_set:
+                llc_set[block].prefetch = False
             else:
                 victim, victim_line = llc._place(llc_set, s3, block,
                                                  CacheLine())
@@ -481,40 +540,40 @@ class MemoryHierarchy:
         l2_pq_capacity = l2_pq.capacity
         llc_sets = llc._sets
         llc_mask = llc._set_mask
+        llc_clocks = llc._clocks
+        llc_mshr = llc.mshr
+        llc_inflight = llc_mshr._entries
         llc_pq = llc.pf_mshr
+        llc_queued = llc_pq._entries
         llc_ready = now + l2c.latency + llc.latency
         redundant = dropped = issued_l2 = issued_llc = 0
-        for request in requests:
-            block = request.block
+        for block, fill_l2, issuer in requests:
             if check:
                 self._check_prefetch_bounds(block, trigger, page_size_bit,
                                             "L2C")
             if obs is not None:
-                obs.on_prefetch_request("l2c", block, request.fill_l2,
-                                        request.issuer, trigger,
-                                        page_size_bit)
+                obs.on_prefetch_request("l2c", block, fill_l2, issuer,
+                                        trigger, page_size_bit)
             # Resident or in flight (``l2c.inflight_contains`` inlined:
             # completed fills retire lazily) makes the request redundant.
             s2 = block & l2_mask
             l2_set = l2_sets[s2]
             present = block in l2_set
-            if not present:
-                entry = l2_inflight.get(block)
-                if entry is not None and entry[0] <= now:
+            if not present and block in l2_inflight:
+                if l2_inflight[block][0] <= now:
                     del l2_inflight[block]
-                    entry = None
-                if entry is None:
-                    entry = l2_queued.get(block)
-                    if entry is not None and entry[0] <= now:
-                        del l2_queued[block]
-                        entry = None
-                present = entry is not None
+                else:
+                    present = True
+            if not present and block in l2_queued:
+                if l2_queued[block][0] <= now:
+                    del l2_queued[block]
+                else:
+                    present = True
             if present:
                 redundant += 1
                 if obs is not None:
                     obs.on_prefetch_outcome(block, "redundant-l2c", False)
                 continue
-            fill_l2 = request.fill_l2
             # ``is_full`` only when at capacity; a future ``_floor``
             # means nothing can retire yet.
             if (fill_l2 and len(l2_queued) >= l2_pq_capacity
@@ -530,19 +589,37 @@ class MemoryHierarchy:
             llc_set = llc_sets[s3]
             llc_hit = block in llc_set
             if llc_hit:
-                policy = llc._policies[s3]
-                policy._clock += 1
-                policy._stamps[block] = policy._clock
+                llc_line = llc_set[block]
+                clock = llc_clocks[s3] + 1
+                llc_clocks[s3] = clock
+                llc_line.stamp = clock
+                del llc_set[block]
+                llc_set[block] = llc_line
             if obs is not None:
                 obs.on_prefetch_llc_probe(block, llc_hit)
             if llc_hit:
                 ready = llc_ready
             else:
-                pending = llc.inflight_lookup(block, now)
+                # ``llc.inflight_lookup`` inlined (lazy retire, merges).
+                pending = None
+                if block in llc_inflight:
+                    pending = llc_inflight[block]
+                    if pending[0] <= now:
+                        del llc_inflight[block]
+                        pending = None
+                    else:
+                        llc_mshr.merges += 1
+                if pending is None and block in llc_queued:
+                    pending = llc_queued[block]
+                    if pending[0] <= now:
+                        del llc_queued[block]
+                        pending = None
+                    else:
+                        llc_pq.merges += 1
                 if pending is not None:
                     ready = pending[0]
                 else:
-                    if (len(llc_pq._entries) >= llc_pq.capacity
+                    if (len(llc_queued) >= llc_pq.capacity
                             and (llc_pq._floor > now
                                  or llc_pq.is_full(now))):
                         dropped += 1
@@ -555,10 +632,10 @@ class MemoryHierarchy:
                     # Fill the LLC (the probe missed, so no merge).
                     victim, victim_line = llc._place(
                         llc_set, s3, block,
-                        CacheLine(False, not fill_l2, request.issuer))
+                        CacheLine(False, not fill_l2, issuer))
                     if obs is not None:
                         obs.on_fill("llc", block, False, not fill_l2,
-                                    request.issuer, victim)
+                                    issuer, victim)
                     if victim is not None and victim_line.dirty:
                         self.dram.access(victim, 0.0, is_write=True)
             if fill_l2:
@@ -566,10 +643,9 @@ class MemoryHierarchy:
                 # Fill the L2C (not resident: the request was not
                 # redundant).
                 victim, victim_line = l2c._place(
-                    l2_set, s2, block, CacheLine(False, True, request.issuer))
+                    l2_set, s2, block, CacheLine(False, True, issuer))
                 if obs is not None:
-                    obs.on_fill("l2c", block, False, True, request.issuer,
-                                victim)
+                    obs.on_fill("l2c", block, False, True, issuer, victim)
                 if victim is not None:
                     self._l2_evicted(victim, victim_line)
                 issued_l2 += 1

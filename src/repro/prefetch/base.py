@@ -17,7 +17,7 @@ resides in a 2MB page is a *missed opportunity*.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.memory.address import (
     BLOCK_BITS,
@@ -30,15 +30,16 @@ ISSUER_PSA = 0        # the page-size-aware prefetcher indexing with 4KB pages
 ISSUER_PSA_2MB = 1    # the variant indexing with 2MB pages
 
 
-class PrefetchRequest:
-    """One accepted prefetch: target block, fill level, issuing prefetcher."""
+class PrefetchRequest(NamedTuple):
+    """One accepted prefetch: target block, fill level, issuing prefetcher.
 
-    __slots__ = ("block", "fill_l2", "issuer")
+    A tuple, so the hierarchy unpacks ``block, fill_l2, issuer`` directly
+    and a hot emitter may build one with ``tuple.__new__``.
+    """
 
-    def __init__(self, block: int, fill_l2: bool, issuer: int = ISSUER_PSA) -> None:
-        self.block = block
-        self.fill_l2 = fill_l2
-        self.issuer = issuer
+    block: int
+    fill_l2: bool
+    issuer: int = ISSUER_PSA
 
     def __repr__(self) -> str:
         level = "L2" if self.fill_l2 else "LLC"

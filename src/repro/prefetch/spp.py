@@ -223,6 +223,7 @@ class SPP(L2Prefetcher):
             collect = ctx.collect
             issuer = ctx.issuer
             requests_append = ctx.requests.append
+            new_request = tuple.__new__   # PrefetchRequest without __new__
             trigger_page2m = ctx.block >> _PAGE2M_BLOCK_SHIFT
             in_2m = ctx.true_page_size == PAGE_SIZE_2M
             for depth in range(self.MAX_DEPTH):
@@ -234,7 +235,8 @@ class SPP(L2Prefetcher):
                 if not deltas or not total:   # entry.best() returning None
                     break
                 if len(deltas) == 1:
-                    delta = next(iter(deltas))
+                    for delta in deltas:
+                        break
                 else:
                     delta = max(deltas, key=deltas.__getitem__)
                 path_confidence *= (deltas[delta] / total) * damping
@@ -246,9 +248,9 @@ class SPP(L2Prefetcher):
                 if lo <= candidate <= hi:
                     stats.issued += 1
                     if collect:
-                        requests_append(PrefetchRequest(
+                        requests_append(new_request(PrefetchRequest, (
                             candidate, path_confidence >= fill_threshold,
-                            issuer))
+                            issuer)))
                 else:
                     # Discarded: Fig. 2 classification, then park the path
                     # in the GHR (cross-region learning continuity).

@@ -193,9 +193,12 @@ def _scan_store(repair: bool) -> Tuple[int, List[Finding]]:
                                f"unparseable spec_json",
                         action="no safe repair (rows kept)"))
                     continue
+                # ``classify`` only reads: a scan without --repair must
+                # not quarantine a torn entry the way ``load`` does.
                 divergent = [
                     cell for cell in store.missing(campaign)
-                    if disk_cache.load(cell.key) is not None]
+                    if disk_cache.cache_enabled() and disk_cache.classify(
+                        disk_cache.entry_path(cell.key)) == "ok"]
                 if not divergent:
                     continue
                 finding = Finding(

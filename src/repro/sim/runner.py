@@ -90,19 +90,6 @@ def _freeze(value):
     return value
 
 
-def config_fingerprint(config: SystemConfig,
-                       dueling: Optional[DuelingConfig] = None) -> tuple:
-    """Complete fingerprint of a system configuration.
-
-    Derived automatically from *every* dataclass field (recursively), so new
-    configuration knobs can never be forgotten and two different configs can
-    never collide in the cache.  ``dueling`` is the optional per-run
-    override that ``make_l2_module`` applies over ``config.dueling``.
-    """
-    duel = dueling if dueling is not None else config.dueling
-    return (_freeze(config), ("dueling", _freeze(duel)))
-
-
 @functools.lru_cache(maxsize=None)
 def _workload_names() -> frozenset:
     """Catalog names a request may give as its workload (built once)."""

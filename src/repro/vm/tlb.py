@@ -3,7 +3,10 @@
 Set-associative TLBs holding translations at their native granularity: a
 4KB entry is keyed by the 4KB virtual page number, a 2MB entry by the 2MB
 virtual page number (so one 2MB entry covers 512x the reach — the
-motivation for THP in Section II-B1).  A lookup probes both granularities.
+motivation for THP in Section II-B1).  ``lookup`` probes every
+granularity.  The demand path knows the address's page size from the
+allocator, and every fill uses that size, so it probes only the native key
+(``probe``; the hierarchy inlines the same steps for the DTLB).
 
 The TLB is where PPM's input comes from: the page size of a block is part
 of the address-translation metadata available after the (VIPT) L1 access,
@@ -18,6 +21,7 @@ from repro.memory.address import (
     PAGE_1G_BITS,
     PAGE_2M_BITS,
     PAGE_4K_BITS,
+    PAGE_SHIFT,
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
     PAGE_SIZE_4K,
@@ -69,6 +73,27 @@ class TLB:
             return PAGE_SIZE_1G
         self.misses += 1
         return None
+
+    def probe(self, vaddr: int, page_size: int) -> bool:
+        """``lookup`` at the native key of a *page_size* address only.
+
+        Same clock, ``hits``, ``hits_2m`` and ``misses`` updates as
+        ``lookup``: an address is only ever cached under the key of its
+        own page size, so the other keys ``lookup`` tries cannot hit.
+        """
+        page = vaddr >> PAGE_SHIFT[page_size]
+        key = (page_size, page)
+        clock = self._clock + 1
+        self._clock = clock
+        tlb_set = self._sets[page % self.num_sets]
+        if key in tlb_set:
+            tlb_set[key] = clock
+            self.hits += 1
+            if page_size == PAGE_SIZE_2M:
+                self.hits_2m += 1
+            return True
+        self.misses += 1
+        return False
 
     def contains(self, vaddr: int) -> bool:
         """Presence probe without statistics or LRU update (for IPCP++)."""

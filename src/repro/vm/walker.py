@@ -112,7 +112,7 @@ class AddressTranslator:
                                    now: float, walk_fn: WalkFn) -> float:
         """STLB probe, page walk and TLB fills after a DTLB miss."""
         latency = float(self.stlb.latency)
-        if self.stlb.lookup(vaddr) is not None:
+        if self.stlb.probe(vaddr, page_size):
             self.dtlb.fill(vaddr, page_size)
             return latency
         latency += self.walk(vaddr, page_size, now + latency, walk_fn)

@@ -182,6 +182,28 @@ class TestTrace:
     def test_missing_arguments(self, capsys):
         assert main(["trace"]) == 2
 
+    def test_simulate_goes_through_the_request_boundary(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.cli as cli_mod
+        from repro.sim.runner import RequestError, RunRequest
+
+        path = tmp_path / "lbm.trace.gz"
+        assert main(["trace", "--workload", "lbm", "--out", str(path),
+                     "--accesses", "500"]) == 0
+        capsys.readouterr()
+
+        def reject(self):
+            raise RequestError("rejected at the boundary")
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a rejected request")
+
+        monkeypatch.setattr(RunRequest, "validate", reject)
+        monkeypatch.setattr(cli_mod, "simulate_trace", never)
+        assert main(["trace", "--simulate", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: rejected at the boundary"]
+
 
 class TestCache:
     def _populate(self):
@@ -239,6 +261,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "OK   lbm" in out
         assert "counters matched" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "mcf", "--variant", "psa", "--accesses", "-5"],
+         "error: n_accesses must be a positive integer, got -5"),
+        (["verify", "mcf", "--accesses", "-5"],
+         "error: n_accesses must be a positive integer, got -5"),
+        (["verify", "nosuchworkload"],
+         "error: unknown workload 'nosuchworkload'"),
+    ])
+    def test_invalid_request_rejected_before_any_replay(self, argv, message,
+                                                         capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith(message)
 
     def test_oracle_failure_writes_diff(self, tmp_path, capsys,
                                         monkeypatch):

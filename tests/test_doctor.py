@@ -149,6 +149,22 @@ class TestStoreHealing:
             assert store.status(campaign).complete
         assert doctor.diagnose().clean
 
+    def test_scan_only_leaves_torn_entry_unquarantined(self):
+        campaign = tiny_campaign(n_accesses=1430)
+        with CampaignStore() as store:
+            cells = store.register(campaign)
+        assert len(cells) == 4
+        for cell in cells:
+            assert cache.store(cell.key, sample_metrics())
+        torn = cache.entry_path(cells[0].key)
+        torn.write_text("{ torn!")
+        report = doctor.diagnose(repair=False)
+        (finding,) = [f for f in report.findings if f.layer == "store"]
+        assert "3 cache-resident" in finding.detail
+        assert torn.read_text() == "{ torn!"
+        assert not cache.quarantine_dir().exists() or not any(
+            cache.quarantine_dir().iterdir())
+
     def test_corrupt_database_moved_aside(self):
         with CampaignStore() as store:
             store.register(tiny_campaign(n_accesses=1420))

@@ -1,15 +1,19 @@
 """Tests for repro.vm.tlb — dual-granularity TLBs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.memory.address import (
+    PAGE_1G_SIZE,
     PAGE_2M_SIZE,
     PAGE_4K_SIZE,
     PAGE_SIZE_2M,
     PAGE_SIZE_4K,
 )
-from repro.sim.config import TLBConfig
+from repro.sim.config import SystemConfig, TLBConfig
+from repro.vm.allocator import PhysicalMemoryAllocator
 from repro.vm.tlb import TLB
+from repro.vm.walker import AddressTranslator
 
 
 def make(entries=16, ways=4):
@@ -110,3 +114,44 @@ class TestStats:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             TLB(TLBConfig("bad", 10, 4, 1, 4))
+
+
+# Virtual addresses that mix 4KB, 2MB and 1GB pages: a few pages of each
+# size in four 1GB regions, so TLB sets fill up and evict.
+mixed_vaddrs = st.lists(
+    st.builds(lambda region, page, offset: (region * PAGE_1G_SIZE
+                                            + page * PAGE_4K_SIZE + offset),
+              st.integers(0, 3),
+              st.sampled_from([0, 1, 2, 513, 1024, 1536, 4096, 262143]),
+              st.integers(0, PAGE_4K_SIZE - 1)),
+    min_size=1, max_size=80)
+
+
+def _translator(tlb_prefetch):
+    config = SystemConfig()
+    config.dtlb = TLBConfig("DTLB", 8, 2, 1, 8)
+    config.stlb = TLBConfig("STLB", 16, 4, 8, 16)
+    config.tlb_prefetch = tlb_prefetch
+    allocator = PhysicalMemoryAllocator(thp_fraction=0.5, seed=3,
+                                        gb_fraction=0.5)
+    return AddressTranslator(config, allocator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_vaddrs, st.booleans())
+def test_native_stlb_probe_matches_lookup(vaddrs, tlb_prefetch):
+    """The STLB probe at the native key agrees with a probe of every key."""
+    fast = _translator(tlb_prefetch)
+    slow = _translator(tlb_prefetch)
+    stlb = slow.stlb
+    stlb.probe = lambda vaddr, page_size: stlb.lookup(vaddr) is not None
+
+    def walk_fn(paddr, now):
+        return now + 10 + (paddr >> 6) % 7
+
+    now = 0.0
+    for vaddr in vaddrs:
+        result = fast.translate(vaddr, now, walk_fn)
+        assert result == slow.translate(vaddr, now, walk_fn)
+        now += 1.0
+    assert repr(fast.state_dict()) == repr(slow.state_dict())
